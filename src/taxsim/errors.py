@@ -55,4 +55,5 @@ class OutOfVocabularyError(TaxonomyError, KeyError):
 
 
 class UndefinedCorrelationError(ValueError):
-    """Pearson correlation is undefined (a constant input vector)."""
+    """Pearson correlation is undefined (a constant or non-finite input
+    vector)."""

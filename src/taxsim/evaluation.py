@@ -6,7 +6,7 @@ import io
 import math
 from dataclasses import dataclass, field
 
-from .errors import OutOfVocabularyError, UndefinedCorrelationError
+from .errors import OutOfVocabularyError, ParseError, UndefinedCorrelationError
 from .similarity import get_measure, word_similarity
 from .wordnet import normalize_lemma
 
@@ -69,14 +69,28 @@ def embedded_rg30():
 
 
 def load_dataset_tsv(stream, name="custom"):
-    """Read ``word1<TAB>word2<TAB>rating`` lines into a dataset."""
+    """Read ``word1<TAB>word2<TAB>rating`` lines into a dataset.
+
+    A line without exactly three columns, or with a rating that is not a
+    finite number, raises ParseError with its line number.
+    """
     pairs = []
-    for line in stream:
+    for number, line in enumerate(stream, 1):
         line = line.rstrip("\n")
         if not line.strip() or line.startswith("#"):
             continue
-        w1, w2, rating = line.split("\t")
-        pairs.append((w1.strip(), w2.strip(), float(rating)))
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError(f"expected 3 tab-separated columns, found {len(fields)}",
+                             number)
+        w1, w2, text = fields
+        try:
+            rating = float(text)
+        except ValueError:
+            raise ParseError(f"rating {text!r} is not a number", number) from None
+        if not math.isfinite(rating):
+            raise ParseError(f"rating {text!r} is not finite", number)
+        pairs.append((w1.strip(), w2.strip(), rating))
     return BenchmarkDataset(name, tuple(pairs))
 
 
@@ -87,6 +101,8 @@ def pearson(x, y):
     n = len(x)
     if n < 2:
         raise ValueError("pearson needs at least two points")
+    if not all(map(math.isfinite, x)) or not all(map(math.isfinite, y)):
+        raise UndefinedCorrelationError("non-finite input value")
     mx = sum(x) / n
     my = sum(y) / n
     sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))

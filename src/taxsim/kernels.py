@@ -1,149 +1,52 @@
-"""Hot graph kernels: BFS over CSR adjacency.
+"""Exact shortest path over the undirected hypernym graph.
 
-Two backends are provided. The default compiles the loops with numba's
-@njit; setting the environment variable ``TAXSIM_NO_NUMBA=1`` (or running
-without numba installed) selects a pure-numpy frontier BFS instead. Both
-backends are exercised by the test suite and compared by
-``benchmarks/bench_kernels.py``.
+One pure-Python bidirectional breadth-first search (Pohl 1971) that always
+grows the smaller of its two frontiers by a whole level. It runs over
+per-node neighbour lists that ``Taxonomy`` builds once at freeze time, with
+pendant nodes (exactly one undirected link, mostly single-parent leaves)
+pruned from every list but their own: such a node is never inside a
+shortest path, so an endpoint that is one is first stepped onto its only
+neighbour.
 """
 
-import os
 
-import numpy as np
+def bfs_distance(neighbours, pendant, src, dst):
+    """Fewest undirected edges between node indices src and dst, -1 if no
+    path joins them.
 
-_DISABLED = os.environ.get("TAXSIM_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and not _DISABLED
-
-
-def _bfs_distance_py(indptr, indices, src, dst):
-    """Unweighted shortest-path edge count between src and dst, -1 if unreachable."""
+    neighbours[u] lists u's links to non-pendant nodes; a pendant node's
+    list holds its single neighbour. pendant[u] is true for those nodes.
+    """
     if src == dst:
         return 0
-    n = indptr.shape[0] - 1
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[src] = 0
-    frontier = np.array([src], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        level += 1
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        # gather all neighbors of the frontier in one shot
-        offs = np.repeat(starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-        neigh = indices[offs + np.arange(total)]
-        neigh = neigh[dist[neigh] < 0]
-        if neigh.size == 0:
-            break
-        neigh = np.unique(neigh)
-        dist[neigh] = level
-        if dist[dst] >= 0:
-            return level
-        frontier = neigh
+    steps = 0
+    if pendant[src]:
+        src = neighbours[src][0]
+        steps = 1
+        if src == dst:
+            return steps
+    if pendant[dst]:
+        dst = neighbours[dst][0]
+        steps += 1
+        if src == dst:
+            return steps
+    # each side maps the nodes it has reached to their distance from its
+    # endpoint; the two never overlap until the level that joins them, so
+    # the first link into the other side closes a shortest path
+    front, other_front = [src], [dst]
+    seen, other = {src: 0}, {dst: 0}
+    while front and other_front:
+        if len(front) > len(other_front):
+            front, other_front = other_front, front
+            seen, other = other, seen
+        level = seen[front[0]] + 1
+        grown = []
+        for u in front:
+            for v in neighbours[u]:
+                if v not in seen:
+                    if v in other:
+                        return steps + level + other[v]
+                    seen[v] = level
+                    grown.append(v)
+        front = grown
     return -1
-
-
-def _bfs_levels_py(indptr, indices, src):
-    """BFS level of every node from src (-1 for unreachable)."""
-    n = indptr.shape[0] - 1
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[src] = 0
-    frontier = np.array([src], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        level += 1
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        offs = np.repeat(starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-        neigh = indices[offs + np.arange(total)]
-        neigh = np.unique(neigh[dist[neigh] < 0])
-        if neigh.size == 0:
-            break
-        dist[neigh] = level
-        frontier = neigh
-    return dist
-
-
-def _bfs_distance_jit(indptr, indices, src, dst):
-    if src == dst:
-        return 0
-    n = indptr.shape[0] - 1
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[src] = 0
-    queue = np.empty(n, dtype=np.int64)
-    queue[0] = src
-    head = 0
-    tail = 1
-    while head < tail:
-        u = queue[head]
-        head += 1
-        du = dist[u]
-        for k in range(indptr[u], indptr[u + 1]):
-            v = indices[k]
-            if dist[v] < 0:
-                dist[v] = du + 1
-                if v == dst:
-                    return du + 1
-                queue[tail] = v
-                tail += 1
-    return -1
-
-
-def _bfs_levels_jit(indptr, indices, src):
-    n = indptr.shape[0] - 1
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[src] = 0
-    queue = np.empty(n, dtype=np.int64)
-    queue[0] = src
-    head = 0
-    tail = 1
-    while head < tail:
-        u = queue[head]
-        head += 1
-        du = dist[u]
-        for k in range(indptr[u], indptr[u + 1]):
-            v = indices[k]
-            if dist[v] < 0:
-                dist[v] = du + 1
-                queue[tail] = v
-                tail += 1
-    return dist
-
-
-if USE_NUMBA:
-    bfs_distance = njit(cache=True)(_bfs_distance_jit)
-    bfs_levels = njit(cache=True)(_bfs_levels_jit)
-
-    @njit(cache=True)
-    def bfs_distance_many(indptr, indices, srcs, dsts):
-        out = np.empty(srcs.shape[0], dtype=np.int64)
-        for i in range(srcs.shape[0]):
-            out[i] = bfs_distance(indptr, indices, srcs[i], dsts[i])
-        return out
-
-else:
-    bfs_distance = _bfs_distance_py
-    bfs_levels = _bfs_levels_py
-
-    def bfs_distance_many(indptr, indices, srcs, dsts):
-        out = np.empty(srcs.shape[0], dtype=np.int64)
-        for i in range(srcs.shape[0]):
-            out[i] = _bfs_distance_py(indptr, indices, srcs[i], dsts[i])
-        return out
-
-
-def backend_name():
-    return "numba" if USE_NUMBA else "numpy"

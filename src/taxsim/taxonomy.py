@@ -1,11 +1,14 @@
 """Immutable hypernym DAG with precomputed ancestor/depth caches.
 
 A Taxonomy is built once from a list of Synset records and frozen. All
-queries (ancestors, depth, lowest common subsumer, shortest path, counts)
-are pure reads over caches computed at construction time, so a loaded
-taxonomy is safe to share across threads.
+queries (ancestors, depth, lowest common subsumer, counts) are pure reads
+over caches computed at construction time. Shortest paths are searched on
+demand over neighbour lists built at construction time and memoised with
+``functools.lru_cache`` over that pure search, so a loaded taxonomy is
+still safe to share across threads.
 """
 
+import functools
 from dataclasses import dataclass, field
 from collections import deque
 
@@ -78,22 +81,30 @@ class Taxonomy:
                 f"expected exactly one root, found {len(roots)}: {sorted(roots)[:5]}"
             )
         self.root = roots[0]
-        root_i = self._pos[self.root]
 
-        self._parent_indptr, self._parent_indices = _csr(parents, n)
-        self._child_indptr, self._child_indices = _csr(children, n)
-        undirected = [sorted(set(parents[i]) | set(children[i])) for i in range(n)]
-        self._und_indptr, self._und_indices = _csr(undirected, n)
+        order = self._topological_order(parents, children)
 
-        order = self._topological_order(parents, n)
-
-        # depth: node count on a shortest hypernym path from root, root = 1
-        levels = kernels.bfs_levels(self._child_indptr, self._child_indices, root_i)
-        if (levels < 0).any():
-            bad = self._ids[int(np.argmax(levels < 0))]
-            raise StructureError(f"synset {bad!r} does not reach the root")
-        self._depth = levels + 1
+        # depth: node count on a shortest hypernym path from root, root = 1;
+        # one root and no cycle mean every node reaches the root
+        depth = [1] * n
+        for i in order:
+            if parents[i]:
+                depth[i] = 1 + min([depth[p] for p in parents[i]])
+        self._depth = np.array(depth, dtype=np.int64)
         self._max_depth_i = int(np.argmax(self._depth))
+
+        # undirected neighbour lists without pendant nodes (one link), which
+        # no shortest path passes through; a pendant keeps its own link
+        degree = [len(ps) + len(cs) for ps, cs in zip(parents, children)]
+        pendant = bytes(d == 1 for d in degree)
+        neighbours = [
+            (ps or cs) if d == 1 else [k for k in ps + cs if degree[k] != 1]
+            for ps, cs, d in zip(parents, children, degree)
+        ]
+        # wup, lch and rada_dist each ask for the same sense pairs, one
+        # measure at a time, so a small memo answers the repeats
+        self._path = functools.lru_cache(maxsize=4096)(
+            functools.partial(kernels.bfs_distance, neighbours, pendant))
 
         # ancestor sets (including self), built parents-first, frozen to CSR
         anc = [None] * n
@@ -110,14 +121,10 @@ class Taxonomy:
         self._is_leaf = self._hyponyms == 0
 
     @staticmethod
-    def _topological_order(parents, n):
+    def _topological_order(parents, children):
         """Parents-before-children order; raises on cycles."""
         indeg = [len(p) for p in parents]
-        children = [[] for _ in range(n)]
-        for i, ps in enumerate(parents):
-            for j in ps:
-                children[j].append(i)
-        queue = deque(i for i in range(n) if indeg[i] == 0)
+        queue = deque(i for i, d in enumerate(indeg) if d == 0)
         order = []
         while queue:
             u = queue.popleft()
@@ -126,7 +133,7 @@ class Taxonomy:
                 indeg[v] -= 1
                 if indeg[v] == 0:
                     queue.append(v)
-        if len(order) != n:
+        if len(order) != len(parents):
             raise StructureError("hypernym graph contains a cycle")
         return order
 
@@ -215,7 +222,7 @@ class Taxonomy:
     def shortest_path_edges(self, c1, c2):
         """Fewest hypernym edges connecting c1 and c2, links taken as undirected."""
         i, j = self._index(c1), self._index(c2)
-        return int(kernels.bfs_distance(self._und_indptr, self._und_indices, i, j))
+        return self._path(i, j) if i <= j else self._path(j, i)
 
     # -- bulk helpers used by the IC models -------------------------------
 

@@ -155,6 +155,20 @@ class TestBench:
                          "--ic", "hybrid")
         assert code == 3
 
+    @pytest.mark.parametrize("text, line", [
+        ("e\tf\t3.0\ne\tf\n", 2),          # two columns
+        ("# note\ne\tf\tabc\n", 2),          # non-numeric rating
+        ("e\tf\t3.0\nx\ty\tnan\n", 2),      # non-finite rating
+    ])
+    def test_bad_dataset_line_exits_one(self, capsys, t7_file, tmp_path, text, line):
+        ds = tmp_path / "bad.tsv"
+        ds.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "bench", "--taxonomy-tsv", t7_file,
+                             "--dataset", str(ds))
+        assert code == 1
+        assert out == ""
+        assert f"line {line}:" in err
+
     def test_csv_format(self, capsys, t7_file, mini_dataset):
         code, out, _ = run(capsys, "bench", "--taxonomy-tsv", t7_file,
                            "--dataset", mini_dataset, "--measures", "wup",

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from taxsim.errors import OutOfVocabularyError, UndefinedCorrelationError
+from taxsim.errors import OutOfVocabularyError, ParseError, UndefinedCorrelationError
 from taxsim.evaluation import (
     embedded_rg30,
     emit_report,
@@ -75,6 +75,33 @@ class TestPearson:
     def test_constant_vector(self):
         with pytest.raises(UndefinedCorrelationError):
             pearson([1.0, 1.0, 1.0], [1, 2, 3])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input(self, bad):
+        with pytest.raises(UndefinedCorrelationError):
+            pearson([1.0, 2.0, bad], [1, 2, 3])
+        with pytest.raises(UndefinedCorrelationError):
+            pearson([1, 2, 3], [bad, 2.0, 1.0])
+
+
+class TestLoadDatasetTsv:
+    def test_reads_pairs_and_skips_comments_and_blanks(self):
+        ds = load_dataset_tsv(io.StringIO("# w1 w2 r\n\na\tb\t1.5\n c \td\t2\n"),
+                              name="mine")
+        assert ds.name == "mine"
+        assert ds.pairs == (("a", "b", 1.5), ("c", "d", 2.0))
+
+    @pytest.mark.parametrize("text, line", [
+        ("a\tb\t1.0\na\tb\n", 2),
+        ("a\tb\t1.0\t9\n", 1),
+        ("# c\n\na\tb\thigh\n", 3),
+        ("a\tb\tnan\n", 1),
+        ("a\tb\t1.0\na\tb\t-inf\n", 2),
+    ])
+    def test_bad_line_names_its_number(self, text, line):
+        with pytest.raises(ParseError) as info:
+            load_dataset_tsv(io.StringIO(text))
+        assert info.value.line_number == line
 
 
 class TestRangeStat:

@@ -1,49 +1,31 @@
 import random
+import sys
+import threading
 
-import numpy as np
 import pytest
 
-from taxsim import kernels
+from taxsim.taxonomy import Synset, build_taxonomy
 
 from conftest import oracle_undirected_bfs, random_dag
 
 
-def undirected_csr(taxonomy):
-    return taxonomy._und_indptr, taxonomy._und_indices
+def taxonomy_of(edges, nodes=()):
+    """Taxonomy from (child, parent) edges; `nodes` adds parentless ones."""
+    parents = {name: [] for name in nodes}
+    for child, parent in edges:
+        parents.setdefault(parent, [])
+        parents.setdefault(child, []).append(parent)
+    return build_taxonomy(
+        Synset(name, (name.lower(),), hypernyms=tuple(ps))
+        for name, ps in parents.items()
+    )
 
 
-class TestBackendParity:
-    def test_numpy_fallback_matches_active_backend(self):
-        rng = random.Random(61)
-        for _ in range(10):
-            t = random_dag(rng, rng.randint(2, 150))
-            indptr, indices = undirected_csr(t)
-            n = len(t)
-            for _ in range(30):
-                i, j = rng.randrange(n), rng.randrange(n)
-                assert kernels.bfs_distance(indptr, indices, i, j) == \
-                    kernels._bfs_distance_py(indptr, indices, i, j)
-
-    def test_levels_parity(self):
-        rng = random.Random(67)
-        for _ in range(10):
-            t = random_dag(rng, rng.randint(2, 150))
-            indptr = t._child_indptr
-            indices = t._child_indices
-            active = kernels.bfs_levels(indptr, indices, 0)
-            fallback = kernels._bfs_levels_py(indptr, indices, 0)
-            assert np.array_equal(np.asarray(active), fallback)
-
-    @pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-    def test_jit_source_matches_python_source_semantics(self):
-        # both raw implementations agree even when the active backend is numpy
-        rng = random.Random(71)
-        t = random_dag(rng, 120)
-        indptr, indices = undirected_csr(t)
-        for _ in range(50):
-            i, j = rng.randrange(len(t)), rng.randrange(len(t))
-            assert kernels._bfs_distance_jit(indptr, indices, i, j) == \
-                kernels._bfs_distance_py(indptr, indices, i, j)
+def assert_all_pairs_match_oracle(t):
+    ids = t.ids()
+    for a in ids:
+        for b in ids:
+            assert t.shortest_path_edges(a, b) == oracle_undirected_bfs(t, a, b), (a, b)
 
 
 class TestAgainstOracle:
@@ -52,24 +34,118 @@ class TestAgainstOracle:
         for _ in range(10):
             t = random_dag(rng, rng.randint(2, 120))
             ids = t.ids()
-            indptr, indices = undirected_csr(t)
             for _ in range(25):
                 a, b = rng.choice(ids), rng.choice(ids)
-                got = kernels.bfs_distance(indptr, indices, t._index(a), t._index(b))
-                assert got == oracle_undirected_bfs(t, a, b)
+                assert t.shortest_path_edges(a, b) == oracle_undirected_bfs(t, a, b)
 
     def test_many_matches_single(self):
+        # 100 nodes give 5,050 unordered pairs, more than the memo holds, so
+        # the second pass runs after evictions; every answer must still be
+        # the uncached search's and the oracle's
         rng = random.Random(79)
-        t = random_dag(rng, 100)
-        indptr, indices = undirected_csr(t)
-        srcs = np.array([rng.randrange(100) for _ in range(40)], dtype=np.int64)
-        dsts = np.array([rng.randrange(100) for _ in range(40)], dtype=np.int64)
-        many = kernels.bfs_distance_many(indptr, indices, srcs, dsts)
-        for k in range(40):
-            assert many[k] == kernels.bfs_distance(indptr, indices,
-                                                   int(srcs[k]), int(dsts[k]))
+        t = random_dag(rng, 100, max_parents=3)
+        ids = t.ids()
+        pairs = [(a, b) for a in ids for b in ids]
+        first = {(a, b): t.shortest_path_edges(a, b) for a, b in pairs}
+        info = t._path.cache_info()
+        assert info.currsize == info.maxsize < len(pairs) // 2
+        search = t._path.__wrapped__
+        for a, b in reversed(pairs):
+            assert t.shortest_path_edges(a, b) == first[a, b]
+            assert search(t._index(a), t._index(b)) == first[a, b]
+            assert first[a, b] == oracle_undirected_bfs(t, a, b)
+
+    @pytest.mark.parametrize("max_parents", [1, 2, 3])
+    def test_all_pairs_on_small_dags(self, max_parents):
+        rng = random.Random(83 + max_parents)
+        for _ in range(40):
+            assert_all_pairs_match_oracle(random_dag(rng, rng.randint(1, 30), max_parents))
 
 
-def test_backend_name_is_consistent():
-    assert kernels.backend_name() in ("numba", "numpy")
-    assert (kernels.backend_name() == "numba") == kernels.USE_NUMBA
+class TestEdgeCases:
+    def test_single_node(self):
+        t = taxonomy_of([], nodes=["R"])
+        assert t.shortest_path_edges("R", "R") == 0
+
+    def test_two_nodes(self):
+        t = taxonomy_of([("A", "R")])
+        assert t.shortest_path_edges("R", "A") == 1
+        assert t.shortest_path_edges("A", "R") == 1
+        assert_all_pairs_match_oracle(t)
+
+    def test_chain(self):
+        t = taxonomy_of([("A", "R"), ("B", "A")])
+        assert t.shortest_path_edges("R", "B") == 2
+        assert t.shortest_path_edges("R", "A") == 1
+        assert t.shortest_path_edges("A", "B") == 1
+        assert_all_pairs_match_oracle(t)
+
+    def test_root_with_one_child(self):
+        # R has one link, so it is a pendant like the leaves C and D
+        t = taxonomy_of([("A", "R"), ("B", "A"), ("C", "B"), ("D", "B")])
+        assert t.shortest_path_edges("R", "C") == 3
+        assert t.shortest_path_edges("C", "D") == 2
+        assert_all_pairs_match_oracle(t)
+
+    def test_pendant_endpoints(self):
+        # leaves L1 (under A) and L2 (under B) have one link; A and B are
+        # also joined through the shared child M
+        t = taxonomy_of([("A", "R"), ("B", "R"), ("M", "A"), ("M", "B"),
+                         ("L1", "A"), ("L2", "B"), ("N", "M")])
+        assert t.shortest_path_edges("L1", "A") == 1   # pendant next to the other end
+        assert t.shortest_path_edges("L1", "M") == 2   # one side pendant
+        assert t.shortest_path_edges("M", "L2") == 2   # the other side pendant
+        assert t.shortest_path_edges("L1", "L2") == 4  # both sides pendant
+        assert t.shortest_path_edges("L1", "N") == 3   # both, meeting in the core
+        assert_all_pairs_match_oracle(t)
+
+    def test_pendants_sharing_a_neighbour(self):
+        t = taxonomy_of([("A", "R"), ("B", "R")])
+        assert t.shortest_path_edges("A", "B") == 2
+        assert_all_pairs_match_oracle(t)
+
+
+class TestSymmetry:
+    def test_swapped_arguments_agree(self):
+        rng = random.Random(89)
+        for _ in range(10):
+            t = random_dag(rng, rng.randint(2, 60), max_parents=3)
+            search = t._path.__wrapped__
+            for a in t.ids():
+                for b in t.ids():
+                    i, j = t._index(a), t._index(b)
+                    d = t.shortest_path_edges(a, b)
+                    assert d == t.shortest_path_edges(b, a)
+                    assert d == search(i, j) == search(j, i)
+
+
+class TestThreads:
+    def test_concurrent_queries_share_the_memo(self):
+        # more threads than cores, switching often, on more pairs than the
+        # memo holds: every answer must equal the uncached search's
+        rng = random.Random(97)
+        t = random_dag(rng, 100, max_parents=3)
+        ids = t.ids()
+        search = t._path.__wrapped__
+        expected = {(a, b): search(t._index(a), t._index(b)) for a in ids for b in ids}
+        wrong = []
+
+        def worker(seed):
+            pairs = list(expected)
+            random.Random(seed).shuffle(pairs)
+            for a, b in pairs:
+                if t.shortest_path_edges(a, b) != expected[a, b]:
+                    wrong.append((a, b))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
