@@ -15,6 +15,7 @@ from .ic import IcTable, ic_corpus, ic_hybrid, ic_hybrid_table, ic_sanchez, ic_s
 from .similarity import (
     MEASURES,
     Score,
+    best_sense_pair,
     dist_jcn,
     dist_rada,
     get_measure,

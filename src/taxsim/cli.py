@@ -1,7 +1,8 @@
 """Command-line front end: info, ic, sim, bench.
 
-Exit codes: 0 success, 1 load/parse failure, 2 out-of-vocabulary word,
-3 invalid flag combination. Reports go to stdout, diagnostics to stderr.
+Exit codes: 0 success, 1 load/parse failure or a dataset that cannot be
+correlated, 2 out-of-vocabulary word, 3 invalid flag combination. Reports
+go to stdout, diagnostics to stderr.
 """
 
 import argparse
@@ -15,6 +16,7 @@ from .errors import (
     ParseError,
     StructureError,
     TaxonomyError,
+    UndefinedCorrelationError,
     UnusableModelError,
 )
 
@@ -44,8 +46,7 @@ def _load(args):
         "no taxonomy source: pass --wordnet/--taxonomy-tsv or set WORDNET_DIR")
 
 
-def _ic_table(args, taxonomy, index):
-    model = args.ic_model
+def _ic_table(args, taxonomy, index, model):
     frequencies = None
     if model == "corpus":
         if not args.frequencies:
@@ -69,7 +70,7 @@ def cmd_info(args):
 
 def cmd_ic(args):
     taxonomy, index = _load(args)
-    table = _ic_table(args, taxonomy, index)
+    table = _ic_table(args, taxonomy, index, args.ic_model)
     token = args.word
     if token in taxonomy:
         senses = [token]
@@ -84,23 +85,20 @@ def cmd_ic(args):
 def cmd_sim(args):
     taxonomy, index = _load(args)
     measure = similarity.get_measure(args.measure)
-    table = _ic_table(args, taxonomy, index) if measure.needs_ic else None
+    table = _ic_table(args, taxonomy, index, args.ic_model) if measure.needs_ic else None
     if measure.needs_ic is False and args.frequencies:
         raise InvalidCombinationError(f"{measure.name} does not use --frequencies")
+    score, c1, c2 = similarity.best_sense_pair(
+        taxonomy, index, measure, args.word1, args.word2, ic=table)
+    print(f"{score.value:.4f}")
     if args.explain:
-        score, detail = similarity.explain_word_pair(
-            taxonomy, index, measure, args.word1, args.word2, ic=table)
-        print(f"{score.value:.4f}")
-        print(f"senses\t{detail['sense1']}\t{detail['sense2']}", file=sys.stderr)
-        print(f"lcs\t{detail['lcs']}\tdepth {detail['depth_lcs']}", file=sys.stderr)
-        print(f"depths\t{detail['depth1']}\t{detail['depth2']}", file=sys.stderr)
-        print(f"subsumers\t{detail['subsumers1']}\t{detail['subsumers2']}\t"
-              f"lcs {detail['subsumers_lcs']}", file=sys.stderr)
-        print(f"path_edges\t{detail['path_edges']}", file=sys.stderr)
-    else:
-        score = similarity.word_similarity(
-            taxonomy, index, measure, args.word1, args.word2, ic=table)
-        print(f"{score.value:.4f}")
+        lcs = taxonomy.lcs(c1, c2)
+        print(f"senses\t{c1}\t{c2}", file=sys.stderr)
+        print(f"lcs\t{lcs}\tdepth {taxonomy.depth(lcs)}", file=sys.stderr)
+        print(f"depths\t{taxonomy.depth(c1)}\t{taxonomy.depth(c2)}", file=sys.stderr)
+        print(f"subsumers\t{taxonomy.subsumer_count(c1)}\t{taxonomy.subsumer_count(c2)}\t"
+              f"lcs {taxonomy.subsumer_count(lcs)}", file=sys.stderr)
+        print(f"path_edges\t{taxonomy.shortest_path_edges(c1, c2)}", file=sys.stderr)
     return 0
 
 
@@ -113,32 +111,19 @@ def _bench_measures(args, taxonomy, index):
     """
     names = (list(similarity.MEASURES) if args.measures == "all"
              else [m.strip() for m in args.measures.split(",") if m.strip()])
-    explicit = args.ic_model is not None
+    if not names:
+        raise InvalidCombinationError(f"--measures {args.measures!r} names no measure")
     tables = {}
-
-    def table_for(model):
-        if model not in tables:
-            saved = args.ic_model
-            args.ic_model = model
-            try:
-                tables[model] = _ic_table(args, taxonomy, index)
-            finally:
-                args.ic_model = saved
-        return tables[model]
-
     pairs = []
     for name in names:
         measure = similarity.get_measure(name)
         if not measure.needs_ic:
             pairs.append((name, None))
             continue
-        if explicit:
-            model = args.ic_model
-        elif name == "jcn_norm":
-            model = "seco"
-        else:
-            model = "hybrid"
-        pairs.append((name, table_for(model)))
+        model = args.ic_model or ("seco" if name == "jcn_norm" else "hybrid")
+        if model not in tables:
+            tables[model] = _ic_table(args, taxonomy, index, model)
+        pairs.append((name, tables[model]))
     return pairs
 
 
@@ -211,10 +196,11 @@ def main(argv=None):
     except OutOfVocabularyError as exc:
         print(f"taxsim: {exc}", file=sys.stderr)
         return EXIT_OOV
-    except (InvalidCombinationError, UnusableModelError, ValueError) as exc:
+    except (InvalidCombinationError, UnusableModelError) as exc:
         print(f"taxsim: {exc}", file=sys.stderr)
         return EXIT_BAD_COMBINATION
-    except (ParseError, StructureError, TaxonomyError, OSError) as exc:
+    except (ParseError, StructureError, TaxonomyError, OSError,
+            UndefinedCorrelationError) as exc:
         print(f"taxsim: {exc}", file=sys.stderr)
         return EXIT_LOAD_ERROR
 

@@ -55,5 +55,5 @@ class OutOfVocabularyError(TaxonomyError, KeyError):
 
 
 class UndefinedCorrelationError(ValueError):
-    """Pearson correlation is undefined (a constant or non-finite input
-    vector)."""
+    """Pearson correlation is undefined (fewer than two points, or a
+    constant or non-finite input vector)."""

@@ -100,9 +100,14 @@ def pearson(x, y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
     n = len(x)
     if n < 2:
-        raise ValueError("pearson needs at least two points")
+        raise UndefinedCorrelationError("pearson needs at least two points")
     if not all(map(math.isfinite, x)) or not all(map(math.isfinite, y)):
         raise UndefinedCorrelationError("non-finite input value")
+    # centre on the first point before taking the means: the differences
+    # are exact for values within a factor of two of it, so a spread of a
+    # few ulps is not lost to the rounding of a mean
+    x = [a - x[0] for a in x]
+    y = [b - y[0] for b in y]
     mx = sum(x) / n
     my = sum(y) / n
     sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
@@ -139,7 +144,7 @@ def run_benchmark(taxonomy, index, dataset, measures, skip_oov=False):
             raise OutOfVocabularyError(missing[0])
         usable.append((w1, w2, rating))
     if not usable:
-        raise ValueError(f"no scorable pairs in dataset {dataset.name!r}")
+        raise UndefinedCorrelationError(f"no scorable pairs in dataset {dataset.name!r}")
 
     report = CorrelationReport(dataset=dataset.name, pairs=usable, skipped=skipped)
     human = [rating for _, _, rating in usable]

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import UnusableModelError
+from .errors import InvalidCombinationError, UnusableModelError
 
 MODELS = ("corpus", "seco", "sanchez", "hybrid")
 
@@ -61,9 +61,7 @@ def ic_seco(taxonomy):
     n = taxonomy.max_nodes
     if n < 2:
         raise UnusableModelError("seco IC is undefined on a single-node taxonomy")
-    hypo = np.array([taxonomy.hyponym_count(sid) for sid in taxonomy.ids()],
-                    dtype=np.float64)
-    values = 1.0 - np.log(hypo + 1.0) / math.log(n)
+    values = 1.0 - np.log(taxonomy._hyponyms + 1.0) / math.log(n)
     return IcTable(taxonomy, "seco", values, normalized=True)
 
 
@@ -73,11 +71,7 @@ def ic_sanchez(taxonomy):
     commonness(c) sums 1/subsumer_count(leaf) over every leaf at or below
     c; a leaf contributes only its own term.
     """
-    n = len(taxonomy)
-    leaf_weight = np.zeros(n, dtype=np.float64)
-    for i, sid in enumerate(taxonomy.ids()):
-        if taxonomy.is_leaf(sid):
-            leaf_weight[i] = 1.0 / taxonomy.subsumer_count(sid)
+    leaf_weight = np.where(taxonomy._is_leaf, 1.0 / taxonomy._subsumers, 0.0)
     commonness = taxonomy._scatter_to_ancestors(leaf_weight)
     root_c = commonness[taxonomy._index(taxonomy.root)]
     values = -np.log(commonness / root_c)
@@ -92,7 +86,7 @@ def ic_hybrid(taxonomy, synset_id):
 
 def ic_hybrid_table(taxonomy):
     """Hybrid IC for every synset, as a frozen table."""
-    values = np.log([taxonomy.subsumer_count(sid) for sid in taxonomy.ids()])
+    values = np.log(taxonomy._subsumers)
     return IcTable(taxonomy, "hybrid", values, normalized=False)
 
 
@@ -108,4 +102,4 @@ def make_table(taxonomy, model, index=None, frequencies=None):
         return ic_sanchez(taxonomy)
     if model == "hybrid":
         return ic_hybrid_table(taxonomy)
-    raise ValueError(f"unknown IC model {model!r}")
+    raise InvalidCombinationError(f"unknown IC model {model!r}")

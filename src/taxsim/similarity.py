@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidCombinationError, UnusableModelError
-from .ic import ic_hybrid
 
 SIMILARITY = "similarity"
 DISTANCE = "distance"
@@ -22,41 +21,55 @@ class Score:
     kind: str
 
 
-def _require_ic(ic):
+def _ic_values(ic):
     if ic is None:
         raise InvalidCombinationError("this measure requires an IC table")
-    return ic
+    return ic.values()
+
+
+def _indices(taxonomy, c1, c2):
+    """Node indices of c1 and c2, smaller first, and of their lcs."""
+    i, j = taxonomy._index(c1), taxonomy._index(c2)
+    if i > j:
+        i, j = j, i
+    return i, j, taxonomy._lcs(i, j)
 
 
 def sim_resnik(taxonomy, ic, c1, c2):
     """IC of the lowest common subsumer."""
-    _require_ic(ic)
-    return Score(ic[taxonomy.lcs(c1, c2)], SIMILARITY)
+    values = _ic_values(ic)
+    _, _, k = _indices(taxonomy, c1, c2)
+    return Score(float(values[k]), SIMILARITY)
+
+
+def _jcn(values, i, j, k):
+    """Jiang-Conrath distance from IC values and node indices."""
+    return max(float(values[i] + values[j] - 2.0 * values[k]), 0.0)
 
 
 def dist_jcn(taxonomy, ic, c1, c2):
     """Jiang-Conrath distance: IC(c1) + IC(c2) - 2 IC(lcs)."""
-    _require_ic(ic)
-    d = ic[c1] + ic[c2] - 2.0 * ic[taxonomy.lcs(c1, c2)]
-    return Score(max(d, 0.0), DISTANCE)
+    values = _ic_values(ic)
+    return Score(_jcn(values, *_indices(taxonomy, c1, c2)), DISTANCE)
 
 
 def sim_jcn_norm(taxonomy, ic, c1, c2):
     """Jiang-Conrath distance linearly mapped to [0, 1]; needs IC in [0, 1]."""
-    _require_ic(ic)
+    values = _ic_values(ic)
     if not ic.normalized:
         raise InvalidCombinationError(
             f"jcn_norm needs a normalized IC table, got model {ic.model!r}")
-    return Score(1.0 - dist_jcn(taxonomy, ic, c1, c2).value / 2.0, SIMILARITY)
+    return Score(1.0 - _jcn(values, *_indices(taxonomy, c1, c2)) / 2.0, SIMILARITY)
 
 
 def sim_lin(taxonomy, ic, c1, c2):
     """2 IC(lcs) / (IC(c1) + IC(c2)); 0 when both ICs are 0."""
-    _require_ic(ic)
-    denom = ic[c1] + ic[c2]
+    values = _ic_values(ic)
+    i, j, k = _indices(taxonomy, c1, c2)
+    denom = float(values[i] + values[j])
     if denom == 0.0:
         return Score(0.0, SIMILARITY)
-    return Score(2.0 * ic[taxonomy.lcs(c1, c2)] / denom, SIMILARITY)
+    return Score(2.0 * float(values[k]) / denom, SIMILARITY)
 
 
 def dist_rada(taxonomy, c1, c2):
@@ -66,7 +79,8 @@ def dist_rada(taxonomy, c1, c2):
 
 def sim_wup(taxonomy, c1, c2):
     """Wu-Palmer: 2 d / (len + 2 d) with d the node-count depth of the lcs."""
-    d = taxonomy.depth(taxonomy.lcs(c1, c2))
+    _, _, k = _indices(taxonomy, c1, c2)
+    d = int(taxonomy._depth[k])
     length = taxonomy.shortest_path_edges(c1, c2)
     return Score(2.0 * d / (length + 2.0 * d), SIMILARITY)
 
@@ -88,8 +102,10 @@ def sim_new(taxonomy, c1, c2):
     if m < 2:
         raise UnusableModelError("sim_new needs a taxonomy with max subsumer count >= 2")
     eps = math.log((m + 1) / m)
-    d = ic_hybrid(taxonomy, c1) + ic_hybrid(taxonomy, c2) \
-        - 2.0 * ic_hybrid(taxonomy, taxonomy.lcs(c1, c2))
+    i, j, k = _indices(taxonomy, c1, c2)
+    subsumers = taxonomy._subsumers
+    d = math.log(subsumers[i]) + math.log(subsumers[j]) \
+        - 2.0 * math.log(subsumers[k])
     d = max(d, eps)
     return Score(math.log(2.0 * math.log(m) / d), SIMILARITY)
 
@@ -105,7 +121,7 @@ class Measure:
 
     def __call__(self, taxonomy, c1, c2, ic=None):
         if self.needs_ic:
-            return self._func(taxonomy, _require_ic(ic), c1, c2)
+            return self._func(taxonomy, ic, c1, c2)
         return self._func(taxonomy, c1, c2)
 
 
@@ -128,62 +144,33 @@ def get_measure(name):
     try:
         return MEASURES[name]
     except KeyError:
-        raise ValueError(f"unknown measure {name!r}; "
-                         f"choose from {sorted(MEASURES)}") from None
+        raise InvalidCombinationError(f"unknown measure {name!r}; "
+                                      f"choose from {sorted(MEASURES)}") from None
 
 
-def word_similarity(taxonomy, index, measure, w1, w2, ic=None):
-    """Score two words: best score over all sense pairs.
+def best_sense_pair(taxonomy, index, measure, w1, w2, ic=None):
+    """Best score over all sense pairs of two words, with the winning pair.
 
-    Similarities take the maximum, distances the minimum, so "best" always
-    means "most similar". Raises OutOfVocabularyError for unknown lemmas.
+    Returns (score, sense1, sense2). Similarities take the maximum,
+    distances the minimum, so "best" always means "most similar"; on a tie
+    the first pair in sense order wins. Raises OutOfVocabularyError for
+    unknown lemmas.
     """
     if isinstance(measure, str):
         measure = get_measure(measure)
     senses1 = index.senses(w1)
     senses2 = index.senses(w2)
+    lower_is_better = measure.kind == DISTANCE
     best = None
     for c1 in senses1:
         for c2 in senses2:
             s = measure(taxonomy, c1, c2, ic=ic)
-            if best is None:
-                best = s
-            elif measure.kind == DISTANCE:
-                best = s if s.value < best.value else best
-            else:
-                best = s if s.value > best.value else best
-    return best
+            if best is None or (s.value < best.value if lower_is_better
+                                else s.value > best.value):
+                best, pair = s, (c1, c2)
+    return (best, *pair)
 
 
-def explain_word_pair(taxonomy, index, measure, w1, w2, ic=None):
-    """Like word_similarity but also returns the winning sense pair and
-    its lcs/depth/subsumer details, for the CLI --explain output."""
-    if isinstance(measure, str):
-        measure = get_measure(measure)
-    best = None
-    best_pair = None
-    for c1 in index.senses(w1):
-        for c2 in index.senses(w2):
-            s = measure(taxonomy, c1, c2, ic=ic)
-            better = (
-                best is None
-                or (measure.kind == DISTANCE and s.value < best.value)
-                or (measure.kind != DISTANCE and s.value > best.value)
-            )
-            if better:
-                best, best_pair = s, (c1, c2)
-    c1, c2 = best_pair
-    lcs = taxonomy.lcs(c1, c2)
-    detail = {
-        "sense1": c1,
-        "sense2": c2,
-        "lcs": lcs,
-        "depth1": taxonomy.depth(c1),
-        "depth2": taxonomy.depth(c2),
-        "depth_lcs": taxonomy.depth(lcs),
-        "subsumers1": taxonomy.subsumer_count(c1),
-        "subsumers2": taxonomy.subsumer_count(c2),
-        "subsumers_lcs": taxonomy.subsumer_count(lcs),
-        "path_edges": taxonomy.shortest_path_edges(c1, c2),
-    }
-    return best, detail
+def word_similarity(taxonomy, index, measure, w1, w2, ic=None):
+    """Score two words: the score of their best sense pair."""
+    return best_sense_pair(taxonomy, index, measure, w1, w2, ic=ic)[0]

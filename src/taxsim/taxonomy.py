@@ -1,15 +1,15 @@
 """Immutable hypernym DAG with precomputed ancestor/depth caches.
 
 A Taxonomy is built once from a list of Synset records and frozen. All
-queries (ancestors, depth, lowest common subsumer, counts) are pure reads
-over caches computed at construction time. Shortest paths are searched on
-demand over neighbour lists built at construction time and memoised with
-``functools.lru_cache`` over that pure search, so a loaded taxonomy is
-still safe to share across threads.
+queries (ancestors, depth, counts) are pure reads over caches computed at
+construction time. Lowest common subsumers and shortest paths are searched
+on demand over arrays and neighbour lists built at construction time, each
+search memoised with ``functools.lru_cache`` over a pure function of node
+indices, so a loaded taxonomy is still safe to share across threads.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections import deque
 
 import numpy as np
@@ -43,6 +43,16 @@ def _csr(adjacency, n):
     for i, row in enumerate(adjacency):
         indices[indptr[i] : indptr[i + 1]] = row
     return indptr, indices
+
+
+def _lowest_common_subsumer(anc_indptr, anc_indices, depth, subsumers, ids, i, j):
+    """Index of the lcs of node indices i and j (see ``Taxonomy.lcs``)."""
+    if i == j:
+        return i
+    common = np.intersect1d(anc_indices[anc_indptr[i] : anc_indptr[i + 1]],
+                            anc_indices[anc_indptr[j] : anc_indptr[j + 1]],
+                            assume_unique=True)
+    return min(common.tolist(), key=lambda k: (-depth[k], -subsumers[k], ids[k]))
 
 
 class Taxonomy:
@@ -115,6 +125,13 @@ class Taxonomy:
             anc[i] = s
         self._anc_indptr, self._anc_indices = _csr([sorted(a) for a in anc], n)
         self._subsumers = np.diff(self._anc_indptr)
+        self.max_subsumer_count = int(self._subsumers.max())
+        # every measure asks for the lcs of the same sense pairs, one
+        # measure at a time; the memo is keyed (min(i, j), max(i, j)) and
+        # holds only the arrays, not the taxonomy
+        self._lcs = functools.lru_cache(maxsize=4096)(functools.partial(
+            _lowest_common_subsumer, self._anc_indptr, self._anc_indices,
+            self._depth, self._subsumers, self._ids))
 
         # hyponym_count(c): distinct transitive descendants, excluding c
         self._hyponyms = np.bincount(self._anc_indices, minlength=n) - 1
@@ -164,10 +181,6 @@ class Taxonomy:
     def max_depth_node(self):
         return self._ids[self._max_depth_i]
 
-    @property
-    def max_subsumer_count(self):
-        return int(self._subsumers.max())
-
     def ids(self):
         """All synset ids in load order."""
         return list(self._ids)
@@ -208,16 +221,7 @@ class Taxonomy:
         otherwise win, which would break dist(c, c) == 0 downstream.
         """
         i, j = self._index(c1), self._index(c2)
-        if i == j:
-            return c1
-        a = self._anc_indices[self._anc_indptr[i] : self._anc_indptr[i + 1]]
-        b = self._anc_indices[self._anc_indptr[j] : self._anc_indptr[j + 1]]
-        common = np.intersect1d(a, b, assume_unique=True)
-        best = min(
-            (int(k) for k in common),
-            key=lambda k: (-int(self._depth[k]), -int(self._subsumers[k]), self._ids[k]),
-        )
-        return self._ids[best]
+        return self._ids[self._lcs(i, j) if i <= j else self._lcs(j, i)]
 
     def shortest_path_edges(self, c1, c2):
         """Fewest hypernym edges connecting c1 and c2, links taken as undirected."""

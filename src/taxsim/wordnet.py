@@ -4,11 +4,12 @@ Only ``@`` and ``@i`` pointers with part-of-speech ``n`` become edges; the
 noun "is a" graph is all the rest of the package cares about.
 """
 
+import os
 import warnings
 from dataclasses import dataclass, field
 
 from .errors import IntegrityError, OutOfVocabularyError, ParseError, StructureError
-from .taxonomy import Synset, Taxonomy, build_taxonomy
+from .taxonomy import Synset, build_taxonomy
 
 _HYPERNYM_SYMBOLS = {"@", "@i"}
 
@@ -111,8 +112,6 @@ def parse_index_noun(stream):
 
 def load_wordnet(directory):
     """Load data.noun + index.noun from a WordNet 3.0 dict directory."""
-    import os
-
     with open(os.path.join(directory, "data.noun"), encoding="utf-8") as f:
         synsets = parse_data_noun(f)
     taxonomy = build_taxonomy(synsets)

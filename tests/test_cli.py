@@ -4,6 +4,7 @@ import os
 import pytest
 
 from taxsim.cli import main
+from taxsim.similarity import MEASURES
 
 from conftest import T7_TSV
 
@@ -98,6 +99,18 @@ class TestSim:
         assert out.strip() == "0.7500"
         assert "lcs\tC" in err
 
+    @pytest.mark.parametrize("measure", sorted(MEASURES))
+    def test_explain_leaves_stdout_unchanged(self, capsys, t7_file, measure):
+        argv = ("sim", "x", "y", "--taxonomy-tsv", t7_file, "--measure", measure)
+        if measure == "jcn_norm":
+            argv += ("--ic", "seco")
+        code, plain, _ = run(capsys, *argv)
+        assert code == 0
+        code, explained, err = run(capsys, *argv, "--explain")
+        assert code == 0
+        assert explained == plain
+        assert err.startswith("senses\t")
+
     def test_oov_exits_two(self, capsys, t7_file):
         code, _, err = run(capsys, "sim", "x", "zzz", "--taxonomy-tsv", t7_file)
         assert code == 2
@@ -168,6 +181,50 @@ class TestBench:
         assert code == 1
         assert out == ""
         assert f"line {line}:" in err
+
+    def test_unknown_measure_exits_three(self, capsys, t7_file, mini_dataset):
+        code, out, err = run(capsys, "bench", "--taxonomy-tsv", t7_file,
+                             "--dataset", mini_dataset, "--measures", "wup,bogus")
+        assert code == 3
+        assert out == ""
+        assert "unknown measure 'bogus'" in err
+
+    @pytest.mark.parametrize("measures", [",", " , ", ""])
+    def test_empty_measure_list_exits_three(self, capsys, t7_file, mini_dataset,
+                                            measures):
+        code, out, err = run(capsys, "bench", "--taxonomy-tsv", t7_file,
+                             "--dataset", mini_dataset, "--measures", measures)
+        assert code == 3
+        assert out == ""
+        assert "names no measure" in err
+
+    def test_one_pair_dataset_exits_one(self, capsys, t7_file, tmp_path):
+        ds = tmp_path / "one.tsv"
+        ds.write_text("e\tf\t3.0\n", encoding="utf-8")
+        code, out, err = run(capsys, "bench", "--taxonomy-tsv", t7_file,
+                             "--dataset", str(ds), "--measures", "wup")
+        assert code == 1
+        assert out == ""
+        assert "at least two points" in err
+
+    def test_all_oov_dataset_with_skip_oov_exits_one(self, capsys, t7_file, tmp_path):
+        ds = tmp_path / "oov.tsv"
+        ds.write_text("e\tzzz\t1.0\nqqq\tf\t2.0\n", encoding="utf-8")
+        code, out, err = run(capsys, "bench", "--taxonomy-tsv", t7_file,
+                             "--dataset", str(ds), "--measures", "wup", "--skip-oov")
+        assert code == 1
+        assert out == ""
+        assert "no scorable pairs" in err
+
+    def test_constant_score_column_exits_one(self, capsys, t7_file, tmp_path):
+        # wup(c, c) is 1 for every c, so the score column is constant
+        ds = tmp_path / "same.tsv"
+        ds.write_text("e\te\t1.0\nf\tf\t2.0\n", encoding="utf-8")
+        code, out, err = run(capsys, "bench", "--taxonomy-tsv", t7_file,
+                             "--dataset", str(ds), "--measures", "wup")
+        assert code == 1
+        assert out == ""
+        assert "constant input vector" in err
 
     def test_csv_format(self, capsys, t7_file, mini_dataset):
         code, out, _ = run(capsys, "bench", "--taxonomy-tsv", t7_file,

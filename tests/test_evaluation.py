@@ -68,6 +68,12 @@ class TestPearson:
             return
         assert pearson(mapped, y) == pytest.approx(pearson(x, y), abs=1e-9)
 
+    def test_spread_of_a_few_ulps(self):
+        # exactly affine inputs whose spread is one or two ulps of 1.0
+        x = [1.0, 1.0, 1.0 + 2.0 ** -52]
+        y = [1.0, 1.0, 1.0 + 2.0 ** -51]
+        assert pearson(x, y) == pytest.approx(1.0, abs=1e-12)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             pearson([1, 2], [1, 2, 3])

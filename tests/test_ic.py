@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from taxsim.errors import UnknownSynsetError, UnusableModelError
+from taxsim.errors import InvalidCombinationError, UnknownSynsetError, UnusableModelError
 from taxsim.ic import ic_corpus, ic_hybrid, ic_hybrid_table, ic_sanchez, ic_seco, make_table
 from taxsim.taxonomy import Synset, build_taxonomy
 from taxsim.wordnet import load_frequencies
@@ -148,5 +148,5 @@ def test_make_table_dispatch(t7, t7_index):
     assert corpus.model == "corpus"
     with pytest.raises(UnusableModelError):
         make_table(t7, "corpus")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidCombinationError):
         make_table(t7, "bogus")

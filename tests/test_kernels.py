@@ -122,19 +122,24 @@ class TestSymmetry:
 class TestThreads:
     def test_concurrent_queries_share_the_memo(self):
         # more threads than cores, switching often, on more pairs than the
-        # memo holds: every answer must equal the uncached search's
+        # memos hold: every path and lcs must equal the uncached search's
         rng = random.Random(97)
         t = random_dag(rng, 100, max_parents=3)
         ids = t.ids()
         search = t._path.__wrapped__
-        expected = {(a, b): search(t._index(a), t._index(b)) for a in ids for b in ids}
+        search_lcs = t._lcs.__wrapped__
+        expected = {}
+        for a in ids:
+            for b in ids:
+                i, j = sorted((t._index(a), t._index(b)))
+                expected[a, b] = (search(i, j), ids[search_lcs(i, j)])
         wrong = []
 
         def worker(seed):
             pairs = list(expected)
             random.Random(seed).shuffle(pairs)
             for a, b in pairs:
-                if t.shortest_path_edges(a, b) != expected[a, b]:
+                if (t.shortest_path_edges(a, b), t.lcs(a, b)) != expected[a, b]:
                     wrong.append((a, b))
 
         interval = sys.getswitchinterval()

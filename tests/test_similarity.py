@@ -9,9 +9,9 @@ from taxsim.similarity import (
     DISTANCE,
     MEASURES,
     SIMILARITY,
+    best_sense_pair,
     dist_jcn,
     dist_rada,
-    explain_word_pair,
     get_measure,
     sim_jcn_norm,
     sim_lch,
@@ -212,10 +212,17 @@ class TestWordSimilarity:
             word_similarity(t7, t7_index, "lin", "x", "y")
 
     def test_explain_returns_winning_pair(self, t7, t7_index):
-        score, detail = explain_word_pair(t7, t7_index, "wup", "x", "y")
+        score, c1, c2 = best_sense_pair(t7, t7_index, "wup", "x", "y")
         assert score.value == pytest.approx(0.75)
-        assert (detail["sense1"], detail["sense2"]) == ("E", "F")
-        assert detail["lcs"] == "C"
+        assert (c1, c2) == ("E", "F")
+        assert t7.lcs(c1, c2) == "C"
+
+    @pytest.mark.parametrize("name", ["wup", "rada_dist"])
+    def test_best_sense_pair_tie_goes_to_first_pair(self, t7, t7_index, name):
+        # "x" binds {E, D}: (E, E) and (D, D) tie at the best score
+        score, c1, c2 = best_sense_pair(t7, t7_index, name, "x", "x")
+        assert score == get_measure(name)(t7, "D", "D")
+        assert (c1, c2) == ("E", "E")
 
 
 class TestMeasureInvariants:
@@ -282,5 +289,5 @@ class TestMeasureInvariants:
             assert MEASURES[name].kind == SIMILARITY
 
     def test_unknown_measure(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidCombinationError):
             get_measure("bogus")

@@ -135,6 +135,28 @@ class TestLcs:
                 common = oracle_ancestors(t, c1) & oracle_ancestors(t, c2)
                 assert t.depth(t.lcs(c1, c2)) == max(t.depth(c) for c in common)
 
+    def test_memo_matches_oracle_under_eviction(self):
+        # 100 nodes give 5,050 unordered pairs, more than the memo holds, so
+        # the second pass runs after evictions
+        rng = random.Random(23)
+        t = random_dag(rng, 100, max_parents=3)
+        ids = t.ids()
+        depth = oracle_undirected_down_depth(t)
+        ancestors = {c: oracle_ancestors(t, c) for c in ids}
+
+        def oracle_lcs(c1, c2):
+            if c1 == c2:  # documented: a node is its own lcs
+                return c1
+            return min(ancestors[c1] & ancestors[c2],
+                       key=lambda c: (-depth[c], -len(ancestors[c]), c))
+
+        pairs = [(a, b) for a in ids for b in ids]
+        for _ in range(2):
+            for a, b in pairs:
+                assert t.lcs(a, b) == oracle_lcs(a, b), (a, b)
+            info = t._lcs.cache_info()
+            assert info.currsize == info.maxsize < len(pairs) // 2
+
     def test_depth_bounded_by_arguments(self, t7):
         for c1 in t7.ids():
             for c2 in t7.ids():
