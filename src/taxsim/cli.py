@@ -64,6 +64,10 @@ def cmd_info(args):
     print(f"synsets {taxonomy.max_nodes}")
     print(f"max_depth {taxonomy.max_depth}")
     print(f"max_subsumer_count {taxonomy.max_subsumer_count}")
+    print(f"edges {taxonomy.edge_count}")
+    print(f"multi_parent {taxonomy.multi_parent_count}")
+    print(f"leaves {taxonomy.leaf_count}")
+    print(f"max_fanout {taxonomy.max_fanout}")
     print(f"root {taxonomy.root} ({root.lemmas[0]})")
     return 0
 

@@ -1,8 +1,10 @@
 """Immutable hypernym DAG with precomputed ancestor/depth caches.
 
-A Taxonomy is built once from a list of Synset records and frozen. All
-queries (ancestors, depth, counts) are pure reads over caches computed at
-construction time. Lowest common subsumers and shortest paths are searched
+A Taxonomy is built once from a list of Synset records and frozen. The
+build maps every hypernym link to a pair of int node indices and fills all
+caches in one level-by-level pass over int arrays, with no per-node Python
+object but the neighbour lists of the path search. All queries (ancestors,
+depth, counts) are pure reads over those caches. Lowest common subsumers and shortest paths are searched
 on demand over arrays and neighbour lists built at construction time, each
 search memoised with ``functools.lru_cache`` over a pure function of node
 indices, so a loaded taxonomy is still safe to share across threads.
@@ -10,7 +12,6 @@ indices, so a loaded taxonomy is still safe to share across threads.
 
 import functools
 from dataclasses import dataclass
-from collections import deque
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from . import kernels
 from .errors import IntegrityError, StructureError, UnknownSynsetError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Synset:
     """One concept node: id, member lemmas, gloss, direct hypernym ids."""
 
@@ -34,15 +35,21 @@ class Synset:
             raise StructureError(f"synset {self.id!r} lists itself as hypernym")
 
 
-def _csr(adjacency, n):
-    """Pack a list-of-index-lists into (indptr, indices) int64 arrays."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for i, row in enumerate(adjacency):
-        indptr[i + 1] = indptr[i] + len(row)
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    for i, row in enumerate(adjacency):
-        indices[indptr[i] : indptr[i + 1]] = row
-    return indptr, indices
+def _ranges(starts, lengths):
+    """Concatenated ``arange(starts[k], starts[k] + lengths[k])`` over k."""
+    ends = np.cumsum(lengths)
+    return (np.arange(ends[-1] if len(ends) else 0)
+            + np.repeat(starts - ends + lengths, lengths))
+
+
+def _distinct(keys):
+    """Sorted distinct values of an int array.
+
+    Sorting and comparing neighbours beats ``np.unique``, which takes a
+    hash path for int arrays.
+    """
+    keys = np.sort(keys)
+    return np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
 
 
 def _lowest_common_subsumer(anc_indptr, anc_indices, depth, subsumers, ids, i, j):
@@ -62,70 +69,108 @@ class Taxonomy:
         synsets = list(synsets)
         if not synsets:
             raise StructureError("empty taxonomy")
-        self.synsets = {}
-        for s in synsets:
-            if s.id in self.synsets:
-                raise StructureError(f"duplicate synset id {s.id!r}")
-            self.synsets[s.id] = s
-
         self._ids = [s.id for s in synsets]
-        self._pos = {sid: i for i, sid in enumerate(self._ids)}
+        self.synsets = dict(zip(self._ids, synsets))
         n = len(self._ids)
+        if len(self.synsets) != n:
+            seen = set()
+            for sid in self._ids:
+                if sid in seen:
+                    raise StructureError(f"duplicate synset id {sid!r}")
+                seen.add(sid)
+        self._pos = dict(zip(self._ids, range(n)))
 
-        parents = [[] for _ in range(n)]
-        children = [[] for _ in range(n)]
-        roots = []
-        for i, s in enumerate(synsets):
-            if not s.hypernyms:
-                roots.append(s.id)
-            for h in s.hypernyms:
-                j = self._pos.get(h)
-                if j is None:
-                    raise IntegrityError(
-                        f"synset {s.id!r} references unknown hypernym {h!r}"
-                    )
-                parents[i].append(j)
-                children[j].append(i)
+        # every hypernym link once, as int pairs child[k] -> parent[k] in
+        # input order, so the links of each child are contiguous
+        n_parents = np.array([len(s.hypernyms) for s in synsets], dtype=np.int64)
+        try:
+            parent = np.array([self._pos[h] for s in synsets for h in s.hypernyms],
+                              dtype=np.int64)
+        except KeyError as exc:
+            # the first unknown id in link order; the first synset to list it
+            h = exc.args[0]
+            s = next(s for s in synsets if h in s.hypernyms)
+            raise IntegrityError(
+                f"synset {s.id!r} references unknown hypernym {h!r}") from None
+        child = np.repeat(np.arange(n), n_parents)
+        roots = np.flatnonzero(n_parents == 0)
         if len(roots) != 1:
             raise StructureError(
-                f"expected exactly one root, found {len(roots)}: {sorted(roots)[:5]}"
+                f"expected exactly one root, found {len(roots)}: "
+                f"{sorted(self._ids[i] for i in roots)[:5]}"
             )
-        self.root = roots[0]
+        self.root = self._ids[roots[0]]
 
-        order = self._topological_order(parents, children)
-
-        # depth: node count on a shortest hypernym path from root, root = 1;
+        # level-synchronous Kahn pass: a node joins a level once all its
+        # parents are placed. depth is the node count on a shortest hypernym
+        # path from the root (root = 1); the ancestor row of a node is its
+        # parents' rows plus itself, sorted and distinct. rows[row_start[i]:
+        # row_start[i] + row_len[i]] holds node i's row.
+        n_children = np.bincount(parent, minlength=n)
+        by_parent = np.argsort(parent, kind="stable")
+        child_start = np.cumsum(n_children) - n_children
+        parent_start = np.cumsum(n_parents) - n_parents
+        waiting = n_parents.copy()
+        depth = np.ones(n, dtype=np.int64)
+        row_start = np.zeros(n, dtype=np.int64)
+        row_len = np.ones(n, dtype=np.int64)
+        rows = np.empty(4 * n, dtype=np.int64)
+        rows[0] = roots[0]
+        used = placed = 1
+        level = roots
+        while True:
+            kids = child[by_parent[_ranges(child_start[level], n_children[level])]]
+            np.subtract.at(waiting, kids, 1)
+            level = _distinct(kids[waiting[kids] == 0])
+            if not len(level):
+                break
+            placed += len(level)
+            links = _ranges(parent_start[level], n_parents[level])
+            ps = parent[links]
+            depth[level] = 1 + np.minimum.reduceat(
+                depth[ps], np.cumsum(n_parents[level]) - n_parents[level])
+            owner = np.concatenate((level, np.repeat(child[links], row_len[ps])))
+            anc = np.concatenate((level, rows[_ranges(row_start[ps], row_len[ps])]))
+            owner, anc = np.divmod(_distinct(owner * n + anc), n)
+            starts = np.searchsorted(owner, level)
+            row_start[level] = used + starts
+            row_len[level] = np.diff(np.append(starts, len(anc)))
+            if used + len(anc) > len(rows):
+                rows = np.concatenate((rows[:used], np.empty(used + 2 * len(anc), np.int64)))
+            rows[used : used + len(anc)] = anc
+            used += len(anc)
         # one root and no cycle mean every node reaches the root
-        depth = [1] * n
-        for i in order:
-            if parents[i]:
-                depth[i] = 1 + min([depth[p] for p in parents[i]])
-        self._depth = np.array(depth, dtype=np.int64)
-        self._max_depth_i = int(np.argmax(self._depth))
+        if placed != n:
+            raise StructureError("hypernym graph contains a cycle")
+        self._depth = depth
+        self._max_depth_i = int(np.argmax(depth))
+        self._anc_indptr = np.concatenate(([0], np.cumsum(row_len)))
+        self._anc_indices = rows[_ranges(row_start, row_len)]
+        self._subsumers = row_len
+        self.max_subsumer_count = int(row_len.max())
 
-        # undirected neighbour lists without pendant nodes (one link), which
-        # no shortest path passes through; a pendant keeps its own link
-        degree = [len(ps) + len(cs) for ps, cs in zip(parents, children)]
-        pendant = bytes(d == 1 for d in degree)
-        neighbours = [
-            (ps or cs) if d == 1 else [k for k in ps + cs if degree[k] != 1]
-            for ps, cs, d in zip(parents, children, degree)
-        ]
+        # the structure that drives cost, frozen for `taxsim info`
+        self.edge_count = len(parent)
+        self.multi_parent_count = int(np.count_nonzero(n_parents > 1))
+        self.leaf_count = int(np.count_nonzero(n_children == 0))
+        self.max_fanout = int(n_children.max())
+
+        # undirected neighbour lists, parents then children, without pendant
+        # nodes (one link), which no shortest path passes through; a pendant
+        # keeps its own link
+        ends = np.concatenate((child, parent))
+        others = np.concatenate((parent, child))
+        pendant = n_parents + n_children == 1
+        order = np.argsort(ends, kind="stable")
+        order = order[(pendant[ends] | ~pendant[others])[order]]
+        flat = others[order].tolist()
+        bounds = np.cumsum(np.bincount(ends[order], minlength=n)).tolist()
+        neighbours = [flat[a:b] for a, b in zip([0] + bounds, bounds)]
         # wup, lch and rada_dist each ask for the same sense pairs, one
         # measure at a time, so a small memo answers the repeats
         self._path = functools.lru_cache(maxsize=4096)(
-            functools.partial(kernels.bfs_distance, neighbours, pendant))
+            functools.partial(kernels.bfs_distance, neighbours, pendant.tobytes()))
 
-        # ancestor sets (including self), built parents-first, frozen to CSR
-        anc = [None] * n
-        for i in order:
-            s = {i}
-            for j in parents[i]:
-                s |= anc[j]
-            anc[i] = s
-        self._anc_indptr, self._anc_indices = _csr([sorted(a) for a in anc], n)
-        self._subsumers = np.diff(self._anc_indptr)
-        self.max_subsumer_count = int(self._subsumers.max())
         # every measure asks for the lcs of the same sense pairs, one
         # measure at a time; the memo is keyed (min(i, j), max(i, j)) and
         # holds only the arrays, not the taxonomy
@@ -136,23 +181,6 @@ class Taxonomy:
         # hyponym_count(c): distinct transitive descendants, excluding c
         self._hyponyms = np.bincount(self._anc_indices, minlength=n) - 1
         self._is_leaf = self._hyponyms == 0
-
-    @staticmethod
-    def _topological_order(parents, children):
-        """Parents-before-children order; raises on cycles."""
-        indeg = [len(p) for p in parents]
-        queue = deque(i for i, d in enumerate(indeg) if d == 0)
-        order = []
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for v in children[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    queue.append(v)
-        if len(order) != len(parents):
-            raise StructureError("hypernym graph contains a cycle")
-        return order
 
     # -- basic lookups --------------------------------------------------
 

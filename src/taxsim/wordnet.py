@@ -60,31 +60,25 @@ def parse_data_noun(stream):
     """
     synsets = []
     for lineno, line in enumerate(stream, start=1):
-        if not line.strip() or line.startswith(" "):
+        if line.startswith(" ") or not line or line.isspace():
             continue
         body, _, gloss = line.partition("|")
         fields = body.split()
         try:
-            offset = fields[0]
             w_cnt = int(fields[3], 16)
             if w_cnt < 1:
                 raise ValueError("w_cnt must be >= 1")
-            lemmas = tuple(
-                fields[4 + 2 * k].lower() for k in range(w_cnt)
-            )
             p_pos = 4 + 2 * w_cnt
-            p_cnt = int(fields[p_pos], 10)
-            hypernyms = []
-            for k in range(p_cnt):
-                symbol, target, pos, _src = fields[p_pos + 1 + 4 * k : p_pos + 5 + 4 * k]
-                if symbol in _HYPERNYM_SYMBOLS and pos == "n":
-                    hypernyms.append(target)
+            end = p_pos + 1 + 4 * int(fields[p_pos], 10)
+            if len(fields) < end:
+                raise ValueError(f"record needs {end} fields, has {len(fields)}")
         except (IndexError, ValueError) as exc:
             raise ParseError(f"malformed data.noun record: {exc}", lineno) from None
-        synsets.append(
-            Synset(id=offset, lemmas=lemmas, gloss=gloss.strip(),
-                   hypernyms=tuple(hypernyms))
-        )
+        # pointers are (symbol, target, pos, source/target) quads
+        hypernyms = tuple([fields[k + 1] for k in range(p_pos + 1, end, 4)
+                           if fields[k + 2] == "n" and fields[k] in _HYPERNYM_SYMBOLS])
+        synsets.append(Synset(fields[0], tuple(map(str.lower, fields[4:p_pos:2])),
+                              gloss.strip(), hypernyms))
     return synsets
 
 
@@ -92,7 +86,7 @@ def parse_index_noun(stream):
     """Parse a WordNet 3.0 ``index.noun`` stream into a LemmaIndex."""
     entries = {}
     for lineno, line in enumerate(stream, start=1):
-        if not line.strip() or line.startswith(" "):
+        if line.startswith(" ") or not line or line.isspace():
             continue
         fields = line.split()
         try:
@@ -106,7 +100,7 @@ def parse_index_noun(stream):
             raise ParseError(
                 f"lemma {lemma!r}: synset_cnt {synset_cnt} but "
                 f"{len(offsets)} trailing offsets", lineno)
-        entries[lemma] = list(offsets)
+        entries[lemma] = offsets
     return LemmaIndex(entries)
 
 
@@ -117,9 +111,10 @@ def load_wordnet(directory):
     taxonomy = build_taxonomy(synsets)
     with open(os.path.join(directory, "index.noun"), encoding="utf-8") as f:
         index = parse_index_noun(f)
+    known = taxonomy._pos
     for lemma, offs in index.entries.items():
         for off in offs:
-            if off not in taxonomy:
+            if off not in known:
                 raise IntegrityError(
                     f"index lemma {lemma!r} references unknown synset {off}")
     return taxonomy, index

@@ -37,6 +37,13 @@ class TestInfo:
         assert "max_depth 4" in out
         assert "root R" in out
 
+    def test_t7_structure(self, capsys, t7_file):
+        code, out, _ = run(capsys, "info", "--taxonomy-tsv", t7_file)
+        assert code == 0
+        lines = out.splitlines()
+        for line in ("edges 6", "multi_parent 0", "leaves 4", "max_fanout 2"):
+            assert line in lines
+
     def test_missing_source_is_flag_error(self, capsys, monkeypatch):
         monkeypatch.delenv("WORDNET_DIR", raising=False)
         code, _, err = run(capsys, "info")

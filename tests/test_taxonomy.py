@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from taxsim.errors import StructureError, UnknownSynsetError
+from taxsim.errors import IntegrityError, StructureError, UnknownSynsetError
 from taxsim.taxonomy import Synset, build_taxonomy
 
 from conftest import (
@@ -222,7 +222,81 @@ class TestInvariants:
         assert first == second
 
 
+class TestArrayBuild:
+    """Every cache the level-by-level build fills, node by node, against the
+    brute-force oracles."""
+
+    @staticmethod
+    def check_against_oracles(t):
+        ids = t.ids()
+        depths = oracle_undirected_down_depth(t)
+        ancestors = {sid: oracle_ancestors(t, sid) for sid in ids}
+        for sid in ids:
+            descendants = sum(1 for other in ids
+                              if other != sid and sid in ancestors[other])
+            assert t.ancestors(sid) == ancestors[sid]
+            assert t.depth(sid) == depths[sid]
+            assert t.subsumer_count(sid) == len(ancestors[sid])
+            assert t.hyponym_count(sid) == descendants
+            assert t.is_leaf(sid) == (descendants == 0)
+
+    @pytest.mark.parametrize("max_parents", [1, 2, 3])
+    def test_random_dags(self, max_parents):
+        rng = random.Random(37 + max_parents)
+        for _ in range(8):
+            self.check_against_oracles(
+                random_dag(rng, rng.randint(2, 120), max_parents=max_parents))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_and_two_nodes(self, n):
+        t = random_dag(random.Random(41), n)
+        self.check_against_oracles(t)
+        assert t.shortest_path_edges(t.root, t.ids()[-1]) == n - 1
+
+    def test_parent_listed_twice(self):
+        synsets = [
+            Synset("R", ("r",)),
+            Synset("A", ("a",), hypernyms=("R", "R")),
+            Synset("B", ("b",), hypernyms=("A", "R", "A")),
+            Synset("C", ("c",), hypernyms=("B",)),
+        ]
+        t = build_taxonomy(synsets)
+        self.check_against_oracles(t)
+        for a in t.ids():
+            for b in t.ids():
+                assert t.shortest_path_edges(a, b) == oracle_undirected_bfs(t, a, b)
+
+
 class TestValidation:
+    def test_duplicate_id_rejected(self):
+        synsets = [
+            Synset("R", ("r",)),
+            Synset("A", ("a",), hypernyms=("R",)),
+            Synset("A", ("b",), hypernyms=("R",)),
+        ]
+        with pytest.raises(StructureError, match="duplicate synset id 'A'"):
+            build_taxonomy(synsets)
+
+    def test_cycle_detached_from_root_rejected(self):
+        synsets = [
+            Synset("R", ("r",)),
+            Synset("A", ("a",), hypernyms=("B",)),
+            Synset("B", ("b",), hypernyms=("A",)),
+        ]
+        with pytest.raises(StructureError, match="cycle"):
+            build_taxonomy(synsets)
+
+    def test_unknown_hypernym_names_first_bad_synset(self):
+        synsets = [
+            Synset("R", ("r",)),
+            Synset("A", ("a",), hypernyms=("R",)),
+            Synset("B", ("b",), hypernyms=("R", "X")),
+            Synset("C", ("c",), hypernyms=("Y",)),
+        ]
+        with pytest.raises(IntegrityError,
+                           match="synset 'B' references unknown hypernym 'X'"):
+            build_taxonomy(synsets)
+
     def test_cycle_rejected(self):
         synsets = [
             Synset("R", ("r",)),

@@ -1,6 +1,7 @@
 import io
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from taxsim.errors import IntegrityError, ParseError, StructureError
 from taxsim.wordnet import (
@@ -8,6 +9,7 @@ from taxsim.wordnet import (
     load_frequencies,
     load_tsv_taxonomy,
     normalize_lemma,
+    load_wordnet,
     parse_data_noun,
     parse_index_noun,
 )
@@ -103,8 +105,6 @@ class TestParseIndexNoun:
 
 class TestLoadWordnet:
     def test_loads_directory(self, tmp_path):
-        from taxsim.wordnet import load_wordnet
-
         (tmp_path / "data.noun").write_text(DATA_NOUN, encoding="utf-8")
         (tmp_path / "index.noun").write_text(INDEX_NOUN, encoding="utf-8")
         t, index = load_wordnet(str(tmp_path))
@@ -112,13 +112,93 @@ class TestLoadWordnet:
         assert index.senses("gamma") == ["00000004", "00000002"]
 
     def test_index_referencing_unknown_synset(self, tmp_path):
-        from taxsim.wordnet import load_wordnet
-
         (tmp_path / "data.noun").write_text(DATA_NOUN, encoding="utf-8")
         (tmp_path / "index.noun").write_text(
             "ghost n 1 1 @ 1 0 99999999\n", encoding="utf-8")
         with pytest.raises(IntegrityError):
             load_wordnet(str(tmp_path))
+
+
+    @pytest.mark.parametrize("record", [
+        # p_cnt 2, one pointer quad present
+        "00000002 03 n 01 thing 0 002 @ 00000001 n 0000 | short",
+        # p_cnt 2, the second quad cut after its target
+        "00000002 03 n 01 thing 0 002 @ 00000001 n 0000 ~ 00000001 | short",
+        # w_cnt 0x0a, five lemma pairs present
+        "00000002 03 n 0a a 0 b 0 c 0 d 0 e 0 000 | short",
+    ])
+    def test_truncated_record_reports_line(self, tmp_path, record):
+        (tmp_path / "data.noun").write_text(
+            "  1 header\n00000001 03 n 01 entity 0 000 | root\n" + record + "\n",
+            encoding="utf-8")
+        (tmp_path / "index.noun").write_text("", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_wordnet(str(tmp_path))
+        assert exc.value.line_number == 3
+
+
+@st.composite
+def dictionaries(draw):
+    """A random single-rooted DAG with lemmas, glosses and decoy pointers."""
+    n = draw(st.integers(1, 12))
+    lemma = st.text("abcXYZ_", min_size=1, max_size=4)
+    nodes = []
+    for i in range(n):
+        parents = draw(st.lists(st.integers(0, i - 1), min_size=1, max_size=3,
+                                unique=True)) if i else []
+        nodes.append({
+            "id": f"{i + 1:08d}",
+            # w_cnt is two hex digits, so 16 and up need both
+            "lemmas": draw(st.lists(lemma, min_size=1, max_size=3, unique_by=str.lower)
+                           | st.lists(lemma, min_size=16, max_size=18,
+                                      unique_by=str.lower)),
+            "links": [(p, draw(st.sampled_from(["@", "@i"]))) for p in parents],
+            "decoys": draw(st.lists(st.tuples(st.sampled_from(["~", "@"]),
+                                              st.integers(0, n - 1)), max_size=3)),
+            "gloss": draw(st.sampled_from(["a thing", "x | y", "see: a|b; c"])),
+        })
+    return nodes
+
+
+def render(nodes, senses):
+    """data.noun and index.noun text for nodes (see dictionaries) and a
+    lemma -> ordered synset ids map."""
+    data = ["  1 test dictionary header"]
+    for node in nodes:
+        words = " ".join(f"{w} 0" for w in node["lemmas"])
+        ptrs = [f"{sym} {nodes[p]['id']} n 0000" for p, sym in node["links"]]
+        # "~" is a hyponym pointer and "@ ... v" a verb hypernym: both skipped
+        ptrs += [f"~ {nodes[t]['id']} n 0000" if sym == "~"
+                 else f"@ {nodes[t]['id']} v 0000" for sym, t in node["decoys"]]
+        data.append(f"{node['id']} 03 n {len(node['lemmas']):02x} {words} "
+                    f"{len(ptrs):03d} {' '.join(ptrs)} | {node['gloss']}  ")
+    index = ["  1 test index header"]
+    for lemma, sids in sorted(senses.items()):
+        index.append(f"{lemma} n {len(sids)} 2 @ ~ {len(sids)} 0 {' '.join(sids)}")
+    return "\n".join(data) + "\n", "\n".join(index) + "\n"
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(nodes=dictionaries(), data=st.data())
+def test_data_and_index_round_trip(tmp_path, nodes, data):
+    senses = {}
+    for node in nodes:
+        for w in node["lemmas"]:
+            senses.setdefault(w.lower(), []).append(node["id"])
+    senses = {w: data.draw(st.permutations(sids)) for w, sids in senses.items()}
+    data_text, index_text = render(nodes, senses)
+    (tmp_path / "data.noun").write_text(data_text, encoding="utf-8")
+    (tmp_path / "index.noun").write_text(index_text, encoding="utf-8")
+
+    taxonomy, index = load_wordnet(str(tmp_path))
+    assert taxonomy.ids() == [node["id"] for node in nodes]
+    for node in nodes:
+        synset = taxonomy.synsets[node["id"]]
+        assert synset.hypernyms == tuple(nodes[p]["id"] for p, _ in node["links"])
+        assert synset.lemmas == tuple(w.lower() for w in node["lemmas"])
+        assert synset.gloss == node["gloss"]
+    assert index.entries == senses
 
 
 class TestTsvTaxonomy:
