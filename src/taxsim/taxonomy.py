@@ -4,10 +4,11 @@ A Taxonomy is built once from a list of Synset records and frozen. The
 build maps every hypernym link to a pair of int node indices and fills all
 caches in one level-by-level pass over int arrays, with no per-node Python
 object but the neighbour lists of the path search. All queries (ancestors,
-depth, counts) are pure reads over those caches. Lowest common subsumers and shortest paths are searched
-on demand over arrays and neighbour lists built at construction time, each
-search memoised with ``functools.lru_cache`` over a pure function of node
-indices, so a loaded taxonomy is still safe to share across threads.
+depth, counts) are pure reads over those caches. Lowest common subsumers
+and shortest paths are searched on demand over arrays and neighbour lists
+built at construction time, each search memoised with
+``functools.lru_cache`` over a pure function of node indices, so a loaded
+taxonomy is still safe to share across threads.
 """
 
 import functools
@@ -36,10 +37,10 @@ class Synset:
 
 
 def _ranges(starts, lengths):
-    """Concatenated ``arange(starts[k], starts[k] + lengths[k])`` over k."""
+    """Concatenated ``arange(starts[k], starts[k] + lengths[k])`` over a
+    non-empty k."""
     ends = np.cumsum(lengths)
-    return (np.arange(ends[-1] if len(ends) else 0)
-            + np.repeat(starts - ends + lengths, lengths))
+    return np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
 
 
 def _distinct(keys):

@@ -105,6 +105,8 @@ class TestParseIndexNoun:
 
 class TestLoadWordnet:
     def test_loads_directory(self, tmp_path):
+        from taxsim.wordnet import load_wordnet
+
         (tmp_path / "data.noun").write_text(DATA_NOUN, encoding="utf-8")
         (tmp_path / "index.noun").write_text(INDEX_NOUN, encoding="utf-8")
         t, index = load_wordnet(str(tmp_path))
@@ -112,6 +114,8 @@ class TestLoadWordnet:
         assert index.senses("gamma") == ["00000004", "00000002"]
 
     def test_index_referencing_unknown_synset(self, tmp_path):
+        from taxsim.wordnet import load_wordnet
+
         (tmp_path / "data.noun").write_text(DATA_NOUN, encoding="utf-8")
         (tmp_path / "index.noun").write_text(
             "ghost n 1 1 @ 1 0 99999999\n", encoding="utf-8")
@@ -153,7 +157,7 @@ def dictionaries(draw):
                            | st.lists(lemma, min_size=16, max_size=18,
                                       unique_by=str.lower)),
             "links": [(p, draw(st.sampled_from(["@", "@i"]))) for p in parents],
-            "decoys": draw(st.lists(st.tuples(st.sampled_from(["~", "@"]),
+            "decoys": draw(st.lists(st.tuples(st.sampled_from(["~", "v"]),
                                               st.integers(0, n - 1)), max_size=3)),
             "gloss": draw(st.sampled_from(["a thing", "x | y", "see: a|b; c"])),
         })
