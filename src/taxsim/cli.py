@@ -68,6 +68,7 @@ def cmd_info(args):
     print(f"multi_parent {taxonomy.multi_parent_count}")
     print(f"leaves {taxonomy.leaf_count}")
     print(f"max_fanout {taxonomy.max_fanout}")
+    print(f"core_nodes {taxonomy.core_count}")
     print(f"root {taxonomy.root} ({root.lemmas[0]})")
     return 0
 

@@ -43,10 +43,14 @@ def ic_corpus(taxonomy, index, frequencies):
     if not frequencies.counts:
         # zero counts are fine (smoothing covers them); an empty table is not
         raise UnusableModelError("corpus IC requires a non-empty frequency table")
-    self_weight = np.zeros(len(taxonomy), dtype=np.float64)
-    for i, sid in enumerate(taxonomy.ids()):
-        for lemma in taxonomy.synsets[sid].lemmas:
-            self_weight[i] += frequencies.count(lemma) + 1
+    # one pass over the synsets in load order, which is node index order
+    count = frequencies.count
+    self_weight = []
+    for synset in taxonomy.synsets.values():
+        weight = 0.0
+        for lemma in synset.lemmas:
+            weight += count(lemma) + 1
+        self_weight.append(weight)
     freq = taxonomy._scatter_to_ancestors(self_weight)
     root_freq = freq[taxonomy._index(taxonomy.root)]
     if root_freq <= 0:

@@ -1,40 +1,46 @@
 """Exact shortest path over the undirected hypernym graph.
 
-One pure-Python bidirectional breadth-first search (Pohl 1971) that always
-grows the smaller of its two frontiers by a whole level. It runs over
-per-node neighbour lists that ``Taxonomy`` builds once at freeze time, with
-pendant nodes (exactly one undirected link, mostly single-parent leaves)
-pruned from every list but their own: such a node is never inside a
-shortest path, so an endpoint that is one is first stepped onto its only
-neighbour.
+``Taxonomy`` peels the graph down to its 2-core at freeze time: round by
+round it removes every node but the root that has one live link left. Each
+removed node keeps the live neighbour it hung from (``up``), the core node
+its subtree hangs from (its anchor) and its hop count to that node
+(``hang``). Every path out of a hanging subtree passes through its anchor,
+so a query needs no search when both endpoints hang from one anchor (climb
+``up`` until they meet) and otherwise searches only between the two
+anchors, with one pure-Python bidirectional breadth-first search (Pohl
+1971) over the core's neighbour lists that always grows the smaller of its
+two frontiers by a whole level.
 """
 
 
-def bfs_distance(neighbours, pendant, src, dst):
+def bfs_distance(up, anchor, hang, neighbours, src, dst):
     """Fewest undirected edges between node indices src and dst, -1 if no
     path joins them.
 
-    neighbours[u] lists u's links to non-pendant nodes; a pendant node's
-    list holds its single neighbour. pendant[u] is true for those nodes.
+    up[u] is the node a peeled node u hung from (-1 for a core node),
+    anchor[u] the core number of the core node u hangs from (its own for a
+    core node), hang[u] the hops from u to that node, and neighbours[k] the
+    core numbers linked to core node k.
     """
-    if src == dst:
-        return 0
-    steps = 0
-    if pendant[src]:
-        src = neighbours[src][0]
-        steps = 1
-        if src == dst:
-            return steps
-    if pendant[dst]:
-        dst = neighbours[dst][0]
-        steps += 1
-        if src == dst:
-            return steps
-    # each side maps the nodes it has reached to their distance from its
-    # endpoint; the two never overlap until the level that joins them, so
+    a, b = anchor[src], anchor[dst]
+    hs, hd = hang[src], hang[dst]
+    if a == b:
+        # one hanging tree: climb from the deeper endpoint, then from both
+        # until they meet, at the anchor at the latest
+        steps = abs(hs - hd)
+        for _ in range(hs - hd):
+            src = up[src]
+        for _ in range(hd - hs):
+            dst = up[dst]
+        while src != dst:
+            src, dst = up[src], up[dst]
+            steps += 2
+        return steps
+    # each side maps the core nodes it has reached to their distance from
+    # its anchor; the two never overlap until the level that joins them, so
     # the first link into the other side closes a shortest path
-    front, other_front = [src], [dst]
-    seen, other = {src: 0}, {dst: 0}
+    front, other_front = [a], [b]
+    seen, other = {a: 0}, {b: 0}
     while front and other_front:
         if len(front) > len(other_front):
             front, other_front = other_front, front
@@ -45,7 +51,7 @@ def bfs_distance(neighbours, pendant, src, dst):
             for v in neighbours[u]:
                 if v not in seen:
                     if v in other:
-                        return steps + level + other[v]
+                        return hs + hd + level + other[v]
                     seen[v] = level
                     grown.append(v)
         front = grown

@@ -2,13 +2,14 @@
 
 A Taxonomy is built once from a list of Synset records and frozen. The
 build maps every hypernym link to a pair of int node indices and fills all
-caches in one level-by-level pass over int arrays, with no per-node Python
-object but the neighbour lists of the path search. All queries (ancestors,
+caches in one level-by-level pass over int arrays. It then peels the
+undirected link graph down to its 2-core, so that the path search holds
+neighbour lists only for the core nodes and, per node, the node it hangs
+from, its core anchor and its hop count to it. All queries (ancestors,
 depth, counts) are pure reads over those caches. Lowest common subsumers
-and shortest paths are searched on demand over arrays and neighbour lists
-built at construction time, each search memoised with
-``functools.lru_cache`` over a pure function of node indices, so a loaded
-taxonomy is still safe to share across threads.
+and shortest paths are searched on demand over them, each search memoised
+with ``functools.lru_cache`` over a pure function of node indices, so a
+loaded taxonomy is still safe to share across threads.
 """
 
 import functools
@@ -156,21 +157,52 @@ class Taxonomy:
         self.leaf_count = int(np.count_nonzero(n_children == 0))
         self.max_fanout = int(n_children.max())
 
-        # undirected neighbour lists, parents then children, without pendant
-        # nodes (one link), which no shortest path passes through; a pendant
-        # keeps its own link
+        # peel the undirected link graph down to its 2-core, one round at a
+        # time: each round removes every node but the root that has one live
+        # link left. up[u] is the live neighbour u hung from when peeled, so
+        # the peeled nodes form trees hanging from core nodes, and every
+        # path out of such a tree passes through the core node it hangs from
         ends = np.concatenate((child, parent))
         others = np.concatenate((parent, child))
-        pendant = n_parents + n_children == 1
+        live_links = np.bincount(ends, minlength=n)
+        # xor of each node's live neighbours: its only one, once one is left
+        live_xor = np.zeros(n, dtype=np.int64)
+        np.bitwise_xor.at(live_xor, ends, others)
+        up = np.full(n, -1, dtype=np.int64)
+        rounds = []
+        level = np.flatnonzero(live_links == 1)
+        level = level[level != roots[0]]
+        while len(level):
+            rounds.append(level)
+            hub = live_xor[level]
+            up[level] = hub
+            np.subtract.at(live_links, hub, 1)
+            np.bitwise_xor.at(live_xor, hub, level)
+            level = _distinct(hub[(live_links[hub] == 1) & (hub != roots[0])])
+        # core nodes are renumbered 0..core-1; anchor[u] is the core number
+        # of the node u's subtree hangs from, hang[u] its hop count to it
+        core = np.flatnonzero(up < 0)
+        self.core_count = len(core)
+        anchor = np.empty(n, dtype=np.int64)
+        anchor[core] = np.arange(len(core))
+        hang = np.zeros(n, dtype=np.int64)
+        for level in reversed(rounds):
+            anchor[level] = anchor[up[level]]
+            hang[level] = hang[up[level]] + 1
+        # core-to-core links, both ways, as neighbour lists by core number
+        in_core = (up[ends] < 0) & (up[others] < 0)
+        ends, others = anchor[ends[in_core]], anchor[others[in_core]]
         order = np.argsort(ends, kind="stable")
-        order = order[(pendant[ends] | ~pendant[others])[order]]
         flat = others[order].tolist()
-        bounds = np.cumsum(np.bincount(ends[order], minlength=n)).tolist()
+        bounds = np.cumsum(np.bincount(ends, minlength=len(core))).tolist()
         neighbours = [flat[a:b] for a, b in zip([0] + bounds, bounds)]
         # wup, lch and rada_dist each ask for the same sense pairs, one
-        # measure at a time, so a small memo answers the repeats
-        self._path = functools.lru_cache(maxsize=4096)(
-            functools.partial(kernels.bfs_distance, neighbours, pendant.tobytes()))
+        # measure at a time, so a small memo answers the repeats. The
+        # per-node arrays go in as memoryviews, which index to Python ints
+        # without holding an int object per node.
+        self._path = functools.lru_cache(maxsize=4096)(functools.partial(
+            kernels.bfs_distance, memoryview(up), memoryview(anchor),
+            memoryview(hang), neighbours))
 
         # every measure asks for the lcs of the same sense pairs, one
         # measure at a time; the memo is keyed (min(i, j), max(i, j)) and

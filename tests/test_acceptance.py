@@ -24,6 +24,7 @@ from conftest import (
     random_tree,
     wordnet_dir,
 )
+from test_kernels import wordnet_shaped_dag
 
 
 @pytest.fixture(scope="module")
@@ -112,12 +113,8 @@ def test_c4_ic_endpoints_wordnet(wn):
     _check_ic_endpoints(taxonomy)
 
 
-@needs_wordnet
-def test_c5_measure_invariants_10k_pairs(wn):
-    taxonomy, _, _ = wn
-    rng = random.Random(107)
+def _check_measure_invariants(taxonomy, pairs):
     ids = taxonomy.ids()
-    pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(10_000)]
     tables = {"seco": ic_seco(taxonomy), "hybrid": ic_hybrid_table(taxonomy)}
     m = taxonomy.max_subsumer_count
     eps = math.log((m + 1) / m)
@@ -140,6 +137,27 @@ def test_c5_measure_invariants_10k_pairs(wn):
             assert lo - 1e-12 <= forward <= hi + 1e-12
             if measure.name == "new" and c1 != c2:
                 assert forward < identical_new
+
+
+@needs_wordnet
+def test_c5_measure_invariants_10k_pairs(wn):
+    taxonomy, _, _ = wn
+    rng = random.Random(107)
+    ids = taxonomy.ids()
+    pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(10_000)]
+    _check_measure_invariants(taxonomy, pairs)
+
+
+def test_c5_measure_invariants_wordnet_shaped():
+    # the WordNet-gated check's symmetry and bounds, for all 8 measures, on
+    # a synthetic taxonomy of the same shape: deep single-parent subtrees
+    # and about 3 % multi-parent nodes
+    rng = random.Random(113)
+    taxonomy = wordnet_shaped_dag(rng, 4000, multi_share=0.03)
+    ids = taxonomy.ids()
+    pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(2000)]
+    pairs += [(sid, sid) for sid in ids[:20]]
+    _check_measure_invariants(taxonomy, pairs)
 
 
 def test_c6_pearson_correctness():

@@ -41,7 +41,8 @@ class TestInfo:
         code, out, _ = run(capsys, "info", "--taxonomy-tsv", t7_file)
         assert code == 0
         lines = out.splitlines()
-        for line in ("edges 6", "multi_parent 0", "leaves 4", "max_fanout 2"):
+        for line in ("edges 6", "multi_parent 0", "leaves 4", "max_fanout 2",
+                     "core_nodes 1"):
             assert line in lines
 
     def test_missing_source_is_flag_error(self, capsys, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 from taxsim.taxonomy import Synset, build_taxonomy
 
-from conftest import oracle_undirected_bfs, random_dag
+from conftest import oracle_undirected_bfs, random_dag, random_tree
 
 
 def taxonomy_of(edges, nodes=()):
@@ -26,6 +26,34 @@ def assert_all_pairs_match_oracle(t):
     for a in ids:
         for b in ids:
             assert t.shortest_path_edges(a, b) == oracle_undirected_bfs(t, a, b), (a, b)
+
+
+def wordnet_shaped_dag(rng, n, multi_share=0.04):
+    """Random single-rooted DAG shaped like WordNet's noun taxonomy: about
+    three quarters leaves, most nodes hung under one of the few inner nodes
+    made just before them so that single-parent subtrees run deep, and
+    about `multi_share` of the nodes given a second parent anywhere."""
+    synsets = [Synset("n0000", ("n0000",))]
+    inner = [0]
+    for i in range(1, n):
+        parents = {rng.choice(inner[-6:] if rng.random() < 0.6 else inner)}
+        if rng.random() < multi_share:
+            parents.add(rng.choice(inner))
+        synsets.append(Synset(f"n{i:04d}", (f"n{i:04d}",),
+                              hypernyms=tuple(f"n{p:04d}" for p in sorted(parents))))
+        if rng.random() < 0.25:
+            inner.append(i)
+    return build_taxonomy(synsets)
+
+
+def peel(t):
+    """The path search's peel as synset ids: anchor id and hang per id, and
+    the core ids with their core neighbour ids."""
+    up, anchor, hang, neighbours = t._path.__wrapped__.args
+    ids = t.ids()
+    core = [ids[u] for u in range(len(ids)) if up[u] < 0]
+    return ({ids[u]: (core[anchor[u]], hang[u]) for u in range(len(ids))},
+            {core[k]: [core[v] for v in vs] for k, vs in enumerate(neighbours)})
 
 
 class TestAgainstOracle:
@@ -103,6 +131,91 @@ class TestEdgeCases:
         t = taxonomy_of([("A", "R"), ("B", "R")])
         assert t.shortest_path_edges("A", "B") == 2
         assert_all_pairs_match_oracle(t)
+
+
+class TestCorePeel:
+    def test_all_pairs_on_wordnet_shaped_dags(self):
+        rng = random.Random(211)
+        climbs = searches = deepest = 0
+        for _ in range(32):
+            t = wordnet_shaped_dag(rng, rng.randint(30, 60))
+            hanging, _ = peel(t)
+            ids = t.ids()
+            for k, a in enumerate(ids):
+                for b in ids[k:]:
+                    assert t.shortest_path_edges(a, b) == oracle_undirected_bfs(t, a, b), (a, b)
+                    if hanging[a][0] != hanging[b][0]:
+                        searches += 1
+                    elif a != b:
+                        climbs += 1
+                        deepest = max(deepest, hanging[a][1], hanging[b][1])
+        # both halves of the query ran, many times over, and some climbs
+        # started several hops below their anchor
+        assert climbs > 1000 and searches > 1000 and deepest >= 4
+
+    def test_pure_tree_core_is_the_root(self):
+        rng = random.Random(223)
+        for _ in range(10):
+            t = random_tree(rng, rng.randint(1, 40))
+            hanging, core = peel(t)
+            assert t.core_count == 1 and list(core) == [t.root]
+            assert all(anchor == t.root for anchor, _ in hanging.values())
+            assert_all_pairs_match_oracle(t)
+
+    def test_root_above_a_chain_to_the_core(self):
+        # R - A - B, then the cycle B - C - E - D - B, and a leaf L under E;
+        # R keeps its one link and A its two, so both stay in the core
+        t = taxonomy_of([("A", "R"), ("B", "A"), ("C", "B"), ("D", "B"),
+                         ("E", "C"), ("E", "D"), ("L", "E")])
+        hanging, core = peel(t)
+        assert sorted(core) == ["A", "B", "C", "D", "E", "R"]
+        assert core["R"] == ["A"]
+        assert hanging["L"] == ("E", 1)
+        assert t.shortest_path_edges("R", "E") == 4
+        assert t.shortest_path_edges("R", "L") == 5
+        assert t.core_count == 6
+        assert_all_pairs_match_oracle(t)
+
+    @pytest.fixture
+    def bushy(self):
+        # core: the cycle R - A - M - B - R; under M hang X (with Y below
+        # it, and Z with W below Z) and a sibling subtree P - Q
+        return taxonomy_of([("A", "R"), ("B", "R"), ("M", "A"), ("M", "B"),
+                            ("X", "M"), ("Y", "X"), ("Z", "X"), ("W", "Z"),
+                            ("P", "M"), ("Q", "P")])
+
+    def test_endpoint_is_the_others_anchor(self, bushy):
+        hanging, _ = peel(bushy)
+        assert hanging["W"] == ("M", 3)
+        assert bushy.shortest_path_edges("M", "W") == 3
+        assert bushy.shortest_path_edges("W", "M") == 3
+        assert bushy.shortest_path_edges("M", "X") == 1
+
+    def test_one_subtree_at_different_hang(self, bushy):
+        hanging, _ = peel(bushy)
+        assert hanging["Y"] == ("M", 2) and hanging["W"] == ("M", 3)
+        assert bushy.shortest_path_edges("Y", "W") == 3
+        assert bushy.shortest_path_edges("X", "W") == 2
+        assert bushy.shortest_path_edges("W", "X") == 2
+
+    def test_sibling_subtrees_of_one_anchor(self, bushy):
+        assert bushy.shortest_path_edges("W", "Q") == 5
+        assert bushy.shortest_path_edges("Y", "P") == 3
+        assert bushy.shortest_path_edges("Q", "R") == 4
+        assert_all_pairs_match_oracle(bushy)
+
+    def test_hang_and_core_degree_invariants(self):
+        rng = random.Random(227)
+        dags = [wordnet_shaped_dag(rng, rng.randint(20, 80)) for _ in range(15)]
+        dags += [random_dag(rng, rng.randint(2, 60), max_parents=2) for _ in range(15)]
+        for t in dags:
+            hanging, core = peel(t)
+            for sid, (anchor, hang) in hanging.items():
+                assert (hang == 0) == (sid in core)
+                assert hang == oracle_undirected_bfs(t, sid, anchor), sid
+            for sid, links in core.items():
+                assert len(links) >= 2 or sid == t.root, sid
+            assert t.core_count == len(core)
 
 
 class TestSymmetry:
