@@ -1,7 +1,7 @@
 """Taxonomy semantic similarity: WordNet noun DAG, IC models, similarity
 measures, and benchmark evaluation against human ratings."""
 
-from .taxonomy import Synset, Taxonomy, build_taxonomy
+from .taxonomy import Synset, Taxonomy
 from .wordnet import (
     FrequencyTable,
     LemmaIndex,
@@ -11,7 +11,7 @@ from .wordnet import (
     parse_data_noun,
     parse_index_noun,
 )
-from .ic import IcTable, ic_corpus, ic_hybrid, ic_hybrid_table, ic_sanchez, ic_seco
+from .ic import IcTable, ic_corpus, ic_hybrid_table, ic_sanchez, ic_seco
 from .similarity import (
     MEASURES,
     Score,

@@ -13,8 +13,6 @@ from . import evaluation, ic, similarity, wordnet
 from .errors import (
     InvalidCombinationError,
     OutOfVocabularyError,
-    ParseError,
-    StructureError,
     TaxonomyError,
     UndefinedCorrelationError,
     UnusableModelError,
@@ -46,22 +44,40 @@ def _load(args):
         "no taxonomy source: pass --wordnet/--taxonomy-tsv or set WORDNET_DIR")
 
 
-def _ic_table(args, taxonomy, index, model):
+def _ic_tables(args, models, taxonomy, index):
+    """Build one IC table per model name, keyed by model.
+
+    --frequencies is legal exactly when one of the tables is the corpus one.
+    """
+    models = dict.fromkeys(models)
     frequencies = None
-    if model == "corpus":
+    if "corpus" in models:
         if not args.frequencies:
             raise InvalidCombinationError("--ic-model=corpus requires --frequencies")
         with open(args.frequencies, encoding="utf-8") as f:
             frequencies = wordnet.load_frequencies(f)
     elif args.frequencies:
         raise InvalidCombinationError("--frequencies only applies to the corpus model")
-    return ic.make_table(taxonomy, model, index=index, frequencies=frequencies)
+    return {model: ic.make_table(taxonomy, model, index=index, frequencies=frequencies)
+            for model in models}
+
+
+def _measure_tables(args, names, taxonomy, index):
+    """Pair each measure name with the IC table it scores with, or None.
+
+    An explicit --ic applies to every measure that reads a table; otherwise
+    each measure reads the table of its own IC model.
+    """
+    measures = [similarity.get_measure(name) for name in names]
+    models = [m.ic_model and (args.ic_model or m.ic_model) for m in measures]
+    tables = _ic_tables(args, filter(None, models), taxonomy, index)
+    return [(m.name, tables.get(model)) for m, model in zip(measures, models)]
 
 
 def cmd_info(args):
     taxonomy, index = _load(args)
     root = taxonomy.synsets[taxonomy.root]
-    print(f"synsets {taxonomy.max_nodes}")
+    print(f"synsets {len(taxonomy)}")
     print(f"max_depth {taxonomy.max_depth}")
     print(f"max_subsumer_count {taxonomy.max_subsumer_count}")
     print(f"edges {taxonomy.edge_count}")
@@ -75,7 +91,7 @@ def cmd_info(args):
 
 def cmd_ic(args):
     taxonomy, index = _load(args)
-    table = _ic_table(args, taxonomy, index, args.ic_model)
+    table = _ic_tables(args, [args.ic_model], taxonomy, index)[args.ic_model]
     token = args.word
     if token in taxonomy:
         senses = [token]
@@ -89,12 +105,9 @@ def cmd_ic(args):
 
 def cmd_sim(args):
     taxonomy, index = _load(args)
-    measure = similarity.get_measure(args.measure)
-    table = _ic_table(args, taxonomy, index, args.ic_model) if measure.needs_ic else None
-    if measure.needs_ic is False and args.frequencies:
-        raise InvalidCombinationError(f"{measure.name} does not use --frequencies")
+    [(name, table)] = _measure_tables(args, [args.measure], taxonomy, index)
     score, c1, c2 = similarity.best_sense_pair(
-        taxonomy, index, measure, args.word1, args.word2, ic=table)
+        taxonomy, index, name, args.word1, args.word2, ic=table)
     print(f"{score.value:.4f}")
     if args.explain:
         lcs = taxonomy.lcs(c1, c2)
@@ -107,31 +120,6 @@ def cmd_sim(args):
     return 0
 
 
-def _bench_measures(args, taxonomy, index):
-    """Expand --measures into (name, ic_table) pairs.
-
-    With the default hybrid IC, jcn_norm gets the seco table instead since
-    it requires a normalized model; an explicit --ic applies everywhere
-    and fails fast on invalid pairings.
-    """
-    names = (list(similarity.MEASURES) if args.measures == "all"
-             else [m.strip() for m in args.measures.split(",") if m.strip()])
-    if not names:
-        raise InvalidCombinationError(f"--measures {args.measures!r} names no measure")
-    tables = {}
-    pairs = []
-    for name in names:
-        measure = similarity.get_measure(name)
-        if not measure.needs_ic:
-            pairs.append((name, None))
-            continue
-        model = args.ic_model or ("seco" if name == "jcn_norm" else "hybrid")
-        if model not in tables:
-            tables[model] = _ic_table(args, taxonomy, index, model)
-        pairs.append((name, tables[model]))
-    return pairs
-
-
 def cmd_bench(args):
     taxonomy, index = _load(args)
     if args.dataset == "rg30":
@@ -139,7 +127,11 @@ def cmd_bench(args):
     else:
         with open(args.dataset, encoding="utf-8") as f:
             dataset = evaluation.load_dataset_tsv(f, name=os.path.basename(args.dataset))
-    measures = _bench_measures(args, taxonomy, index)
+    names = (list(similarity.MEASURES) if args.measures == "all"
+             else [m.strip() for m in args.measures.split(",") if m.strip()])
+    if not names:
+        raise InvalidCombinationError(f"--measures {args.measures!r} names no measure")
+    measures = _measure_tables(args, names, taxonomy, index)
     report = evaluation.run_benchmark(taxonomy, index, dataset, measures,
                                       skip_oov=args.skip_oov)
     sys.stdout.write(evaluation.emit_report(report, fmt=args.format))
@@ -171,8 +163,11 @@ def build_parser():
     p.add_argument("word1")
     p.add_argument("word2")
     p.add_argument("--measure", default="wup", choices=sorted(similarity.MEASURES))
-    p.add_argument("--ic", dest="ic_model", default="hybrid", choices=ic.MODELS)
-    p.add_argument("--frequencies", metavar="FILE")
+    p.add_argument("--ic", dest="ic_model", default=None, choices=ic.MODELS,
+                   help="IC model for an IC-based measure (default: the "
+                        "measure's own)")
+    p.add_argument("--frequencies", metavar="FILE",
+                   help="lemma<TAB>count file (corpus model only)")
     p.add_argument("--explain", action="store_true",
                    help="print the winning sense pair and its lcs details to stderr")
     p.set_defaults(func=cmd_sim)
@@ -185,7 +180,8 @@ def build_parser():
                    help="'all' or a comma-separated measure list")
     p.add_argument("--ic", dest="ic_model", default=None, choices=ic.MODELS,
                    help="force one IC model for all IC-based measures")
-    p.add_argument("--frequencies", metavar="FILE")
+    p.add_argument("--frequencies", metavar="FILE",
+                   help="lemma<TAB>count file (corpus model only)")
     p.add_argument("--format", default="tsv", choices=("tsv", "csv", "pretty"))
     p.add_argument("--skip-oov", action="store_true",
                    help="drop out-of-vocabulary pairs instead of failing")
@@ -204,8 +200,7 @@ def main(argv=None):
     except (InvalidCombinationError, UnusableModelError) as exc:
         print(f"taxsim: {exc}", file=sys.stderr)
         return EXIT_BAD_COMBINATION
-    except (ParseError, StructureError, TaxonomyError, OSError,
-            UndefinedCorrelationError) as exc:
+    except (TaxonomyError, OSError, UndefinedCorrelationError) as exc:
         print(f"taxsim: {exc}", file=sys.stderr)
         return EXIT_LOAD_ERROR
 

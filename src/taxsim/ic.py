@@ -61,8 +61,8 @@ def ic_corpus(taxonomy, index, frequencies):
 
 
 def ic_seco(taxonomy):
-    """Seco intrinsic IC: 1 - ln(hypo(c) + 1) / ln(max_nodes), in [0, 1]."""
-    n = taxonomy.max_nodes
+    """Seco intrinsic IC: 1 - ln(hypo(c) + 1) / ln(node count), in [0, 1]."""
+    n = len(taxonomy)
     if n < 2:
         raise UnusableModelError("seco IC is undefined on a single-node taxonomy")
     values = 1.0 - np.log(taxonomy._hyponyms + 1.0) / math.log(n)
@@ -83,13 +83,8 @@ def ic_sanchez(taxonomy):
     return IcTable(taxonomy, "sanchez", values, normalized=False)
 
 
-def ic_hybrid(taxonomy, synset_id):
-    """Hybrid IC of one concept: ln(subsumer_count(c)); 0 only at the root."""
-    return math.log(taxonomy.subsumer_count(synset_id))
-
-
 def ic_hybrid_table(taxonomy):
-    """Hybrid IC for every synset, as a frozen table."""
+    """Hybrid IC: ln(subsumer_count(c)) for every synset; 0 only at the root."""
     values = np.log(taxonomy._subsumers)
     return IcTable(taxonomy, "hybrid", values, normalized=False)
 

@@ -18,7 +18,6 @@ DISTANCE = "distance"
 @dataclass(frozen=True)
 class Score:
     value: float
-    kind: str
 
 
 def _ic_values(ic):
@@ -39,7 +38,7 @@ def sim_resnik(taxonomy, ic, c1, c2):
     """IC of the lowest common subsumer."""
     values = _ic_values(ic)
     _, _, k = _indices(taxonomy, c1, c2)
-    return Score(float(values[k]), SIMILARITY)
+    return Score(float(values[k]))
 
 
 def _jcn(values, i, j, k):
@@ -50,7 +49,7 @@ def _jcn(values, i, j, k):
 def dist_jcn(taxonomy, ic, c1, c2):
     """Jiang-Conrath distance: IC(c1) + IC(c2) - 2 IC(lcs)."""
     values = _ic_values(ic)
-    return Score(_jcn(values, *_indices(taxonomy, c1, c2)), DISTANCE)
+    return Score(_jcn(values, *_indices(taxonomy, c1, c2)))
 
 
 def sim_jcn_norm(taxonomy, ic, c1, c2):
@@ -59,7 +58,7 @@ def sim_jcn_norm(taxonomy, ic, c1, c2):
     if not ic.normalized:
         raise InvalidCombinationError(
             f"jcn_norm needs a normalized IC table, got model {ic.model!r}")
-    return Score(1.0 - _jcn(values, *_indices(taxonomy, c1, c2)) / 2.0, SIMILARITY)
+    return Score(1.0 - _jcn(values, *_indices(taxonomy, c1, c2)) / 2.0)
 
 
 def sim_lin(taxonomy, ic, c1, c2):
@@ -68,13 +67,13 @@ def sim_lin(taxonomy, ic, c1, c2):
     i, j, k = _indices(taxonomy, c1, c2)
     denom = float(values[i] + values[j])
     if denom == 0.0:
-        return Score(0.0, SIMILARITY)
-    return Score(2.0 * float(values[k]) / denom, SIMILARITY)
+        return Score(0.0)
+    return Score(2.0 * float(values[k]) / denom)
 
 
 def dist_rada(taxonomy, c1, c2):
     """Edge count of the shortest undirected hypernym path."""
-    return Score(float(taxonomy.shortest_path_edges(c1, c2)), DISTANCE)
+    return Score(float(taxonomy.shortest_path_edges(c1, c2)))
 
 
 def sim_wup(taxonomy, c1, c2):
@@ -82,13 +81,13 @@ def sim_wup(taxonomy, c1, c2):
     _, _, k = _indices(taxonomy, c1, c2)
     d = int(taxonomy._depth[k])
     length = taxonomy.shortest_path_edges(c1, c2)
-    return Score(2.0 * d / (length + 2.0 * d), SIMILARITY)
+    return Score(2.0 * d / (length + 2.0 * d))
 
 
 def sim_lch(taxonomy, c1, c2):
     """Leacock-Chodorow: -ln(path node count / (2 * max taxonomy depth))."""
     len_nodes = taxonomy.shortest_path_edges(c1, c2) + 1
-    return Score(-math.log(len_nodes / (2.0 * taxonomy.max_depth)), SIMILARITY)
+    return Score(-math.log(len_nodes / (2.0 * taxonomy.max_depth)))
 
 
 def sim_new(taxonomy, c1, c2):
@@ -107,20 +106,23 @@ def sim_new(taxonomy, c1, c2):
     d = math.log(subsumers[i]) + math.log(subsumers[j]) \
         - 2.0 * math.log(subsumers[k])
     d = max(d, eps)
-    return Score(math.log(2.0 * math.log(m) / d), SIMILARITY)
+    return Score(math.log(2.0 * math.log(m) / d))
 
 
 class Measure:
-    __slots__ = ("name", "kind", "needs_ic", "_func")
+    """A named measure: its kind (similarity or distance) and the IC model
+    whose table it reads by default, or None if it reads no table."""
 
-    def __init__(self, name, kind, needs_ic, func):
+    __slots__ = ("name", "kind", "ic_model", "_func")
+
+    def __init__(self, name, kind, ic_model, func):
         self.name = name
         self.kind = kind
-        self.needs_ic = needs_ic
+        self.ic_model = ic_model
         self._func = func
 
     def __call__(self, taxonomy, c1, c2, ic=None):
-        if self.needs_ic:
+        if self.ic_model:
             return self._func(taxonomy, ic, c1, c2)
         return self._func(taxonomy, c1, c2)
 
@@ -128,14 +130,16 @@ class Measure:
 MEASURES = {
     m.name: m
     for m in (
-        Measure("resnik", SIMILARITY, True, sim_resnik),
-        Measure("jcn_dist", DISTANCE, True, dist_jcn),
-        Measure("jcn_norm", SIMILARITY, True, sim_jcn_norm),
-        Measure("lin", SIMILARITY, True, sim_lin),
-        Measure("rada_dist", DISTANCE, False, dist_rada),
-        Measure("wup", SIMILARITY, False, sim_wup),
-        Measure("lch", SIMILARITY, False, sim_lch),
-        Measure("new", SIMILARITY, False, sim_new),
+        Measure("resnik", SIMILARITY, "hybrid", sim_resnik),
+        Measure("jcn_dist", DISTANCE, "hybrid", dist_jcn),
+        # the linear map to [0, 1] needs IC in [0, 1]: seco is the one
+        # normalized model
+        Measure("jcn_norm", SIMILARITY, "seco", sim_jcn_norm),
+        Measure("lin", SIMILARITY, "hybrid", sim_lin),
+        Measure("rada_dist", DISTANCE, None, dist_rada),
+        Measure("wup", SIMILARITY, None, sim_wup),
+        Measure("lch", SIMILARITY, None, sim_lch),
+        Measure("new", SIMILARITY, None, sim_new),
     )
 }
 

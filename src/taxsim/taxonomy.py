@@ -145,16 +145,19 @@ class Taxonomy:
         if placed != n:
             raise StructureError("hypernym graph contains a cycle")
         self._depth = depth
-        self._max_depth_i = int(np.argmax(depth))
+        self.max_depth = int(depth.max())
         self._anc_indptr = np.concatenate(([0], np.cumsum(row_len)))
         self._anc_indices = rows[_ranges(row_start, row_len)]
         self._subsumers = row_len
         self.max_subsumer_count = int(row_len.max())
+        # hyponym_count(c): distinct transitive descendants, excluding c
+        self._hyponyms = np.bincount(self._anc_indices, minlength=n) - 1
+        self._is_leaf = self._hyponyms == 0
 
         # the structure that drives cost, frozen for `taxsim info`
         self.edge_count = len(parent)
         self.multi_parent_count = int(np.count_nonzero(n_parents > 1))
-        self.leaf_count = int(np.count_nonzero(n_children == 0))
+        self.leaf_count = int(np.count_nonzero(self._is_leaf))
         self.max_fanout = int(n_children.max())
 
         # peel the undirected link graph down to its 2-core, one round at a
@@ -211,10 +214,6 @@ class Taxonomy:
             _lowest_common_subsumer, self._anc_indptr, self._anc_indices,
             self._depth, self._subsumers, self._ids))
 
-        # hyponym_count(c): distinct transitive descendants, excluding c
-        self._hyponyms = np.bincount(self._anc_indices, minlength=n) - 1
-        self._is_leaf = self._hyponyms == 0
-
     # -- basic lookups --------------------------------------------------
 
     def _index(self, synset_id):
@@ -228,19 +227,6 @@ class Taxonomy:
 
     def __len__(self):
         return len(self._ids)
-
-    @property
-    def max_nodes(self):
-        return len(self._ids)
-
-    @property
-    def max_depth(self):
-        """Node-count depth of the deepest node."""
-        return int(self._depth[self._max_depth_i])
-
-    @property
-    def max_depth_node(self):
-        return self._ids[self._max_depth_i]
 
     def ids(self):
         """All synset ids in load order."""
@@ -301,8 +287,3 @@ class Taxonomy:
                               np.diff(self._anc_indptr))
         return np.bincount(self._anc_indices, weights=per_entry,
                            minlength=len(self._ids))
-
-
-def build_taxonomy(synsets):
-    """Validate a parsed synset list and freeze it into a Taxonomy."""
-    return Taxonomy(synsets)

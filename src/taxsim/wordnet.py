@@ -9,7 +9,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .errors import IntegrityError, OutOfVocabularyError, ParseError, StructureError
-from .taxonomy import Synset, build_taxonomy
+from .taxonomy import Synset, Taxonomy
 
 _HYPERNYM_SYMBOLS = {"@", "@i"}
 
@@ -34,13 +34,9 @@ class LemmaIndex:
 
 @dataclass
 class FrequencyTable:
-    """Per-lemma corpus counts; total is the corpus size N."""
+    """Per-lemma corpus counts."""
 
     counts: dict = field(default_factory=dict)
-
-    @property
-    def total(self):
-        return sum(self.counts.values())
 
     def count(self, lemma):
         return self.counts.get(normalize_lemma(lemma), 0)
@@ -108,7 +104,7 @@ def load_wordnet(directory):
     """Load data.noun + index.noun from a WordNet 3.0 dict directory."""
     with open(os.path.join(directory, "data.noun"), encoding="utf-8") as f:
         synsets = parse_data_noun(f)
-    taxonomy = build_taxonomy(synsets)
+    taxonomy = Taxonomy(synsets)
     with open(os.path.join(directory, "index.noun"), encoding="utf-8") as f:
         index = parse_index_noun(f)
     known = taxonomy._pos
@@ -169,7 +165,7 @@ def load_tsv_taxonomy(stream):
         synsets.append(Synset(id=n, lemmas=(normalize_lemma(n),),
                               hypernyms=tuple(parents[n])))
         entries.setdefault(normalize_lemma(n), []).append(n)
-    taxonomy = build_taxonomy(synsets)
+    taxonomy = Taxonomy(synsets)
     for lineno, lemma, target in bindings:
         if target not in taxonomy:
             raise ParseError(f"lemma {lemma!r} bound to unknown synset {target!r}",
@@ -179,20 +175,6 @@ def load_tsv_taxonomy(stream):
         if target not in entries[key]:
             entries[key].append(target)
     return taxonomy, LemmaIndex(entries)
-
-
-def dump_tsv_taxonomy(taxonomy, index=None):
-    """Inverse of load_tsv_taxonomy, for round-trip tests and exports."""
-    lines = []
-    for sid in taxonomy.ids():
-        for parent in taxonomy.synsets[sid].hypernyms:
-            lines.append(f"{sid}\t{parent}")
-    if index is not None:
-        for lemma, targets in sorted(index.entries.items()):
-            for t in targets:
-                if normalize_lemma(t) != lemma:
-                    lines.append(f"{lemma}\t#\t{t}")
-    return "\n".join(lines) + "\n"
 
 
 def load_frequencies(stream):

@@ -5,7 +5,7 @@ from collections import deque
 
 import pytest
 
-from taxsim.taxonomy import Synset, build_taxonomy
+from taxsim.taxonomy import Synset, Taxonomy
 from taxsim.wordnet import load_tsv_taxonomy
 
 # 7-node toy taxonomy: R -> {A, B}; A -> {C, D}; C -> {E, F}
@@ -50,7 +50,7 @@ def random_dag(rng, n, max_parents=2):
             Synset(id=f"n{i:03d}", lemmas=(f"n{i:03d}",),
                    hypernyms=tuple(f"n{p:03d}" for p in parents))
         )
-    return build_taxonomy(synsets)
+    return Taxonomy(synsets)
 
 
 def random_tree(rng, n):

@@ -4,9 +4,21 @@ import os
 import pytest
 
 from taxsim.cli import main
+from taxsim.evaluation import emit_report, load_dataset_tsv, run_benchmark
+from taxsim.ic import ic_corpus
 from taxsim.similarity import MEASURES
+from taxsim.wordnet import load_frequencies, load_tsv_taxonomy
 
 from conftest import T7_TSV
+
+# a root and one child in the WordNet 3.0 data.noun / index.noun layout
+DATA_NOUN = (
+    "  1 header\n"
+    "00000001 03 n 01 entity 0 000 | root\n"
+    "00000002 03 n 01 thing 0 001 @ 00000001 n 0000 | a thing\n"
+)
+INDEX_NOUN = "entity n 1 0 1 0 00000001\nthing n 1 1 @ 1 0 00000002\n"
+FREQUENCIES = "r\t5\na\t3\nc\t2\ne\t7\nx\t4\nf\t1\n"
 
 
 @pytest.fixture
@@ -21,6 +33,19 @@ def mini_dataset(tmp_path):
     path = tmp_path / "pairs.tsv"
     path.write_text("e\tf\t3.0\ne\tb\t0.5\nx\ty\t2.0\nc\td\t1.0\n", encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture
+def freq_file(tmp_path):
+    path = tmp_path / "freq.tsv"
+    path.write_text(FREQUENCIES, encoding="utf-8")
+    return str(path)
+
+
+def wordnet_dir(tmp_path, data=DATA_NOUN, index=INDEX_NOUN):
+    (tmp_path / "data.noun").write_text(data, encoding="utf-8")
+    (tmp_path / "index.noun").write_text(index, encoding="utf-8")
+    return str(tmp_path)
 
 
 def run(capsys, *argv):
@@ -240,3 +265,113 @@ class TestBench:
                            "--format", "csv")
         assert code == 0
         assert out.startswith("word1,word2,human,wup")
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("text, line", [
+        ("A\tR\nB\tR\tX\n", 2),           # three columns, not a binding
+        ("# T\nA\tR\n\n\tA\n", 4),          # empty child name
+        ("A\tR\nz\t#\tQ\n", 2),            # binding to an unknown synset
+    ])
+    def test_bad_tsv_line_exits_one(self, capsys, tmp_path, text, line):
+        path = tmp_path / "bad.tsv"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "info", "--taxonomy-tsv", str(path))
+        assert code == 1
+        assert out == ""
+        assert f"line {line}:" in err
+
+    def test_bad_frequency_line_exits_one(self, capsys, t7_file, tmp_path):
+        path = tmp_path / "freq.tsv"
+        path.write_text("# counts\ne\t1\n\nf 3\n", encoding="utf-8")
+        code, out, err = run(capsys, "ic", "e", "--taxonomy-tsv", t7_file,
+                             "--model", "corpus", "--frequencies", str(path))
+        assert code == 1
+        assert out == ""
+        assert "line 4:" in err
+
+    def test_data_noun_without_words_exits_one(self, capsys, tmp_path):
+        data = DATA_NOUN + "00000003 03 n 00 000 | no words\n"
+        code, out, err = run(capsys, "info", "--wordnet", wordnet_dir(tmp_path, data=data))
+        assert code == 1
+        assert out == ""
+        assert "line 4:" in err
+
+    def test_index_noun_non_numeric_synset_cnt_exits_one(self, capsys, tmp_path):
+        index = INDEX_NOUN + "thing n one 1 @ 1 0 00000002\n"
+        code, out, err = run(capsys, "info", "--wordnet", wordnet_dir(tmp_path, index=index))
+        assert code == 1
+        assert out == ""
+        assert "line 3:" in err
+
+
+class TestCorpusIc:
+    @staticmethod
+    def corpus_table():
+        taxonomy, index = load_tsv_taxonomy(io.StringIO(T7_TSV))
+        frequencies = load_frequencies(io.StringIO(FREQUENCIES))
+        return taxonomy, index, ic_corpus(taxonomy, index, frequencies)
+
+    def test_ic_matches_in_process(self, capsys, t7_file, freq_file):
+        _, _, table = self.corpus_table()
+        code, out, _ = run(capsys, "ic", "x", "--taxonomy-tsv", t7_file,
+                           "--model", "corpus", "--frequencies", freq_file)
+        assert code == 0
+        assert out == f"E\te\t{table['E']:.4f}\nD\td\t{table['D']:.4f}\n"
+
+    def test_sim_resnik_matches_in_process(self, capsys, t7_file, freq_file):
+        taxonomy, index, table = self.corpus_table()
+        expected = max(table[taxonomy.lcs(a, b)]
+                       for a in index.senses("x") for b in index.senses("y"))
+        code, out, _ = run(capsys, "sim", "x", "y", "--taxonomy-tsv", t7_file,
+                           "--measure", "resnik", "--ic", "corpus",
+                           "--frequencies", freq_file)
+        assert code == 0
+        assert out == f"{expected:.4f}\n"
+
+    def test_bench_matches_in_process(self, capsys, t7_file, freq_file, mini_dataset):
+        taxonomy, index, table = self.corpus_table()
+        with open(mini_dataset, encoding="utf-8") as f:
+            dataset = load_dataset_tsv(f)
+        report = run_benchmark(taxonomy, index, dataset, [("resnik", table), ("lin", table)])
+        code, out, _ = run(capsys, "bench", "--taxonomy-tsv", t7_file,
+                           "--dataset", mini_dataset, "--ic", "corpus",
+                           "--measures", "resnik,lin", "--frequencies", freq_file)
+        assert code == 0
+        assert out == emit_report(report, "tsv")
+
+    def test_ic_of_synset_id(self, capsys, tmp_path):
+        # "00000002" is a synset id and no lemma, so only the id branch finds it
+        code, out, _ = run(capsys, "ic", "00000002", "--wordnet", wordnet_dir(tmp_path))
+        assert code == 0
+        assert out == "00000002\tthing\t0.6931\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("ic", "x"),
+        ("ic", "x", "--model", "seco"),
+        ("sim", "x", "y", "--measure", "wup"),
+        ("sim", "x", "y", "--measure", "wup", "--ic", "corpus"),
+        ("sim", "x", "y", "--measure", "resnik"),
+        ("bench", "--measures", "wup"),
+        ("bench", "--measures", "all"),
+        ("bench", "--measures", "jcn_norm,new", "--ic", "seco"),
+    ])
+    def test_frequencies_without_corpus_table_exits_three(
+            self, capsys, t7_file, freq_file, mini_dataset, argv):
+        if argv[0] == "bench":
+            argv += ("--dataset", mini_dataset)
+        code, out, err = run(capsys, *argv, "--taxonomy-tsv", t7_file,
+                             "--frequencies", freq_file)
+        assert code == 3
+        assert out == ""
+        assert "--frequencies only applies to the corpus model" in err
+
+    def test_sim_jcn_norm_defaults_to_bench_pairing(self, capsys, t7_file, mini_dataset):
+        code, out, _ = run(capsys, "sim", "e", "f", "--taxonomy-tsv", t7_file,
+                           "--measure", "jcn_norm")
+        assert code == 0
+        assert out == "0.4354\n"
+        code, report, _ = run(capsys, "bench", "--taxonomy-tsv", t7_file,
+                              "--dataset", mini_dataset, "--measures", "jcn_norm")
+        assert code == 0
+        assert "e\tf\t3.0000\t0.4354" in report.splitlines()

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from taxsim.errors import InvalidCombinationError, UnknownSynsetError, UnusableModelError
-from taxsim.ic import ic_corpus, ic_hybrid, ic_hybrid_table, ic_sanchez, ic_seco, make_table
-from taxsim.taxonomy import Synset, build_taxonomy
+from taxsim.ic import ic_corpus, ic_hybrid_table, ic_sanchez, ic_seco, make_table
+from taxsim.taxonomy import Synset, Taxonomy
 from taxsim.wordnet import load_frequencies
 
 from conftest import random_dag, random_tree
@@ -67,7 +67,7 @@ class TestSeco:
                 assert (table[sid] == 1.0) == t.is_leaf(sid)
 
     def test_single_node_unusable(self):
-        t = build_taxonomy([Synset("R", ("r",))])
+        t = Taxonomy([Synset("R", ("r",))])
         with pytest.raises(UnusableModelError):
             ic_seco(t)
 
@@ -88,17 +88,17 @@ class TestSanchez:
 
 class TestHybrid:
     def test_root_is_zero(self, t7):
-        assert ic_hybrid(t7, "R") == 0.0
+        assert ic_hybrid_table(t7)["R"] == 0.0
 
     def test_t7_leaf(self, t7):
-        assert ic_hybrid(t7, "E") == pytest.approx(math.log(4), abs=1e-12)
+        assert ic_hybrid_table(t7)["E"] == pytest.approx(math.log(4), abs=1e-12)
 
     def test_equals_log_ancestor_count(self):
         rng = random.Random(9)
         for _ in range(5):
             t = random_dag(rng, rng.randint(2, 100))
             for sid in t.ids():
-                assert ic_hybrid(t, sid) == pytest.approx(
+                assert ic_hybrid_table(t)[sid] == pytest.approx(
                     math.log(len(t.ancestors(sid))), abs=1e-12)
 
     def test_equals_log_depth_on_trees(self):
@@ -106,17 +106,17 @@ class TestHybrid:
         for _ in range(5):
             t = random_tree(rng, rng.randint(2, 100))
             for sid in t.ids():
-                assert ic_hybrid(t, sid) == pytest.approx(
+                assert ic_hybrid_table(t)[sid] == pytest.approx(
                     math.log(t.depth(sid)), abs=1e-12)
 
     def test_strictly_increasing_on_tree_chains(self, t7):
         for sid, s in t7.synsets.items():
             for parent in s.hypernyms:
-                assert ic_hybrid(t7, sid) > ic_hybrid(t7, parent)
+                assert ic_hybrid_table(t7)[sid] > ic_hybrid_table(t7)[parent]
 
     def test_unknown_synset(self, t7):
         with pytest.raises(UnknownSynsetError):
-            ic_hybrid(t7, "nope")
+            ic_hybrid_table(t7)["nope"]
 
 
 class TestSharedInvariants:

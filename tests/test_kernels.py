@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from taxsim.taxonomy import Synset, build_taxonomy
+from taxsim.taxonomy import Synset, Taxonomy
 
 from conftest import oracle_undirected_bfs, random_dag, random_tree
 
@@ -15,7 +15,7 @@ def taxonomy_of(edges, nodes=()):
     for child, parent in edges:
         parents.setdefault(parent, [])
         parents.setdefault(child, []).append(parent)
-    return build_taxonomy(
+    return Taxonomy(
         Synset(name, (name.lower(),), hypernyms=tuple(ps))
         for name, ps in parents.items()
     )
@@ -43,7 +43,7 @@ def wordnet_shaped_dag(rng, n, multi_share=0.04):
                               hypernyms=tuple(f"n{p:04d}" for p in sorted(parents))))
         if rng.random() < 0.25:
             inner.append(i)
-    return build_taxonomy(synsets)
+    return Taxonomy(synsets)
 
 
 def peel(t):

@@ -21,7 +21,7 @@ from taxsim.similarity import (
     sim_wup,
     word_similarity,
 )
-from taxsim.taxonomy import Synset, build_taxonomy
+from taxsim.taxonomy import Synset, Taxonomy
 
 from conftest import random_dag
 
@@ -74,7 +74,7 @@ class TestJcnNorm:
 
     def test_maximally_distant_leaves(self):
         # two leaves directly under the root: dist = 2, sim = 0
-        t = build_taxonomy([
+        t = Taxonomy([
             Synset("R", ("r",)),
             Synset("A", ("a",), hypernyms=("R",)),
             Synset("B", ("b",), hypernyms=("R",)),
@@ -146,7 +146,7 @@ class TestSimNew:
                     assert sim_new(t7, c1, c2).value < identical
 
     def test_degenerate_taxonomy_rejected(self):
-        t = build_taxonomy([Synset("R", ("r",))])
+        t = Taxonomy([Synset("R", ("r",))])
         with pytest.raises(UnusableModelError):
             sim_new(t, "R", "R")
 
@@ -231,9 +231,7 @@ class TestMeasureInvariants:
         return {"seco": ic_seco(t), "hybrid": ic_hybrid_table(t)}
 
     def _ic_for(self, measure, tables):
-        if not measure.needs_ic:
-            return None
-        return tables["seco"] if measure.name == "jcn_norm" else tables["hybrid"]
+        return tables.get(measure.ic_model)
 
     def test_symmetry_exact(self):
         rng = random.Random(41)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from taxsim.errors import IntegrityError, StructureError, UnknownSynsetError
-from taxsim.taxonomy import Synset, build_taxonomy
+from taxsim.taxonomy import Synset, Taxonomy
 
 from conftest import (
     oracle_ancestors,
@@ -97,7 +97,7 @@ class TestDepth:
             Synset("E", ("e",), hypernyms=("C",)),
             Synset("F", ("f",), hypernyms=("C", "B")),
         ]
-        t = build_taxonomy(synsets)
+        t = Taxonomy(synsets)
         assert t.depth("F") == 3
         assert t.depth("E") == 4
 
@@ -111,7 +111,7 @@ class TestDepth:
 
     def test_max_depth(self, t7):
         assert t7.max_depth == 4
-        assert t7.depth(t7.max_depth_node) == 4
+        assert max(t7.depth(sid) for sid in t7.ids()) == 4
 
 
 class TestLcs:
@@ -260,7 +260,7 @@ class TestArrayBuild:
             Synset("B", ("b",), hypernyms=("A", "R", "A")),
             Synset("C", ("c",), hypernyms=("B",)),
         ]
-        t = build_taxonomy(synsets)
+        t = Taxonomy(synsets)
         self.check_against_oracles(t)
         for a in t.ids():
             for b in t.ids():
@@ -275,7 +275,7 @@ class TestValidation:
             Synset("A", ("b",), hypernyms=("R",)),
         ]
         with pytest.raises(StructureError, match="duplicate synset id 'A'"):
-            build_taxonomy(synsets)
+            Taxonomy(synsets)
 
     def test_cycle_detached_from_root_rejected(self):
         synsets = [
@@ -284,7 +284,7 @@ class TestValidation:
             Synset("B", ("b",), hypernyms=("A",)),
         ]
         with pytest.raises(StructureError, match="cycle"):
-            build_taxonomy(synsets)
+            Taxonomy(synsets)
 
     def test_unknown_hypernym_names_first_bad_synset(self):
         synsets = [
@@ -295,7 +295,7 @@ class TestValidation:
         ]
         with pytest.raises(IntegrityError,
                            match="synset 'B' references unknown hypernym 'X'"):
-            build_taxonomy(synsets)
+            Taxonomy(synsets)
 
     def test_cycle_rejected(self):
         synsets = [
@@ -304,12 +304,12 @@ class TestValidation:
             Synset("B", ("b",), hypernyms=("A", "R")),
         ]
         with pytest.raises(StructureError):
-            build_taxonomy(synsets)
+            Taxonomy(synsets)
 
     def test_two_roots_rejected(self):
         synsets = [Synset("R1", ("a",)), Synset("R2", ("b",))]
         with pytest.raises(StructureError):
-            build_taxonomy(synsets)
+            Taxonomy(synsets)
 
     def test_self_loop_rejected(self):
         with pytest.raises(StructureError):
@@ -318,3 +318,7 @@ class TestValidation:
     def test_empty_lemmas_rejected(self):
         with pytest.raises(StructureError):
             Synset("A", ())
+
+    def test_empty_taxonomy_rejected(self):
+        with pytest.raises(StructureError, match="empty taxonomy"):
+            Taxonomy([])

@@ -5,7 +5,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from taxsim.errors import IntegrityError, ParseError, StructureError
 from taxsim.wordnet import (
-    dump_tsv_taxonomy,
     load_frequencies,
     load_tsv_taxonomy,
     normalize_lemma,
@@ -13,7 +12,7 @@ from taxsim.wordnet import (
     parse_data_noun,
     parse_index_noun,
 )
-from taxsim.taxonomy import build_taxonomy
+from taxsim.taxonomy import Taxonomy
 
 from conftest import T7_TSV
 
@@ -73,12 +72,12 @@ class TestParseDataNoun:
         )
         synsets = parse_data_noun(io.StringIO(text))
         with pytest.raises(IntegrityError):
-            build_taxonomy(synsets)
+            Taxonomy(synsets)
 
     def test_builds_valid_taxonomy(self):
-        t = build_taxonomy(parse_data_noun(io.StringIO(DATA_NOUN)))
+        t = Taxonomy(parse_data_noun(io.StringIO(DATA_NOUN)))
         assert t.root == "00000001"
-        assert t.max_nodes == 4
+        assert len(t) == 4
         assert t.depth("00000004") == 3
 
 
@@ -110,7 +109,7 @@ class TestLoadWordnet:
         (tmp_path / "data.noun").write_text(DATA_NOUN, encoding="utf-8")
         (tmp_path / "index.noun").write_text(INDEX_NOUN, encoding="utf-8")
         t, index = load_wordnet(str(tmp_path))
-        assert t.max_nodes == 4
+        assert len(t) == 4
         assert index.senses("gamma") == ["00000004", "00000002"]
 
     def test_index_referencing_unknown_synset(self, tmp_path):
@@ -208,7 +207,7 @@ def test_data_and_index_round_trip(tmp_path, nodes, data):
 class TestTsvTaxonomy:
     def test_t7_loads(self):
         t, index = load_tsv_taxonomy(io.StringIO(T7_TSV))
-        assert t.max_nodes == 7
+        assert len(t) == 7
         assert t.max_depth == 4
         assert t.root == "R"
         assert index.senses("x") == ["E", "D"]
@@ -221,30 +220,33 @@ class TestTsvTaxonomy:
         text = "A\tR\nA\tR\nB\tR\n"
         with pytest.warns(UserWarning, match="duplicate edge"):
             t, _ = load_tsv_taxonomy(io.StringIO(text))
-        assert t.max_nodes == 3
+        assert len(t) == 3
 
     def test_two_roots_rejected(self):
         with pytest.raises(StructureError):
             load_tsv_taxonomy(io.StringIO("A\tR1\nB\tR2\n"))
 
-    def test_round_trip_is_isomorphic(self):
-        t1, idx1 = load_tsv_taxonomy(io.StringIO(T7_TSV))
-        dumped = dump_tsv_taxonomy(t1, idx1)
-        t2, idx2 = load_tsv_taxonomy(io.StringIO(dumped))
-        assert set(t1.ids()) == set(t2.ids())
-        for sid in t1.ids():
-            assert t1.ancestors(sid) == t2.ancestors(sid)
-        assert idx1.entries == idx2.entries
+    def test_blank_and_comment_lines_skipped(self):
+        text = "# T7\n\n" + T7_TSV.replace("C\tA\n", "C\tA\n   \n# bindings\n")
+        t, index = load_tsv_taxonomy(io.StringIO(text))
+        t7, t7_index = load_tsv_taxonomy(io.StringIO(T7_TSV))
+        assert t.ids() == t7.ids()
+        assert [t.ancestors(sid) for sid in t.ids()] == [t7.ancestors(sid) for sid in t7.ids()]
+        assert index.entries == t7_index.entries
 
 
 class TestFrequencies:
     def test_single_line(self):
         f = load_frequencies(io.StringIO("dog\t10\n"))
-        assert f.total == 10
+        assert f.counts == {"dog": 10}
         assert f.count("dog") == 10
 
     def test_empty_file(self):
-        assert load_frequencies(io.StringIO("")).total == 0
+        assert load_frequencies(io.StringIO("")).counts == {}
+
+    def test_blank_and_comment_lines_skipped(self):
+        f = load_frequencies(io.StringIO("# counts\n\ndog\t10\n  \n#cat\t3\n"))
+        assert f.counts == {"dog": 10}
 
     def test_duplicates_summed(self):
         f = load_frequencies(io.StringIO("dog\t10\ndog\t5\n"))
