@@ -53,7 +53,8 @@ def _ic_tables(args, models, taxonomy, index):
     frequencies = None
     if "corpus" in models:
         if not args.frequencies:
-            raise InvalidCombinationError("--ic-model=corpus requires --frequencies")
+            flag = "--model" if args.command == "ic" else "--ic"
+            raise InvalidCombinationError(f"{flag} corpus requires --frequencies")
         with open(args.frequencies, encoding="utf-8") as f:
             frequencies = wordnet.load_frequencies(f)
     elif args.frequencies:

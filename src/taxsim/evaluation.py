@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 
 from .errors import OutOfVocabularyError, ParseError, UndefinedCorrelationError
 from .similarity import get_measure, word_similarity
-from .wordnet import normalize_lemma
 
 # Rubenstein & Goodenough subset: 30 word pairs with averaged human
 # similarity ratings on the 0.0-4.0 scale.
@@ -136,7 +135,7 @@ def run_benchmark(taxonomy, index, dataset, measures, skip_oov=False):
     usable = []
     skipped = []
     for w1, w2, rating in dataset.pairs:
-        missing = [w for w in (w1, w2) if normalize_lemma(w) not in index.entries]
+        missing = [w for w in (w1, w2) if w not in index]
         if missing:
             if skip_oov:
                 skipped.append((w1, w2))

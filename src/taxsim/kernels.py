@@ -14,13 +14,13 @@ two frontiers by a whole level.
 
 
 def bfs_distance(up, anchor, hang, neighbours, src, dst):
-    """Fewest undirected edges between node indices src and dst, -1 if no
-    path joins them.
+    """Fewest undirected edges between node indices src and dst.
 
     up[u] is the node a peeled node u hung from (-1 for a core node),
     anchor[u] the core number of the core node u hangs from (its own for a
     core node), hang[u] the hops from u to that node, and neighbours[k] the
-    core numbers linked to core node k.
+    core numbers linked to core node k. The graph must be connected, as a
+    single-rooted DAG and its peeled core are, so the two frontiers meet.
     """
     a, b = anchor[src], anchor[dst]
     hs, hd = hang[src], hang[dst]
@@ -41,7 +41,7 @@ def bfs_distance(up, anchor, hang, neighbours, src, dst):
     # the first link into the other side closes a shortest path
     front, other_front = [a], [b]
     seen, other = {a: 0}, {b: 0}
-    while front and other_front:
+    while True:
         if len(front) > len(other_front):
             front, other_front = other_front, front
             seen, other = other, seen
@@ -55,4 +55,3 @@ def bfs_distance(up, anchor, hang, neighbours, src, dst):
                     seen[v] = level
                     grown.append(v)
         front = grown
-    return -1

@@ -1,8 +1,8 @@
 """Immutable hypernym DAG with precomputed ancestor/depth caches.
 
-A Taxonomy is built once from a list of Synset records and frozen. The
-build maps every hypernym link to a pair of int node indices and fills all
-caches in one level-by-level pass over int arrays. It then peels the
+A Taxonomy is built once from Synset records and frozen; all graph checks
+live in the build. It maps every hypernym link to a pair of int node
+indices and fills all caches in one level-by-level pass. It then peels the
 undirected link graph down to its 2-core, so that the path search holds
 neighbour lists only for the core nodes and, per node, the node it hangs
 from, its core anchor and its hop count to it. All queries (ancestors,
@@ -13,7 +13,7 @@ loaded taxonomy is still safe to share across threads.
 """
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,20 +21,12 @@ from . import kernels
 from .errors import IntegrityError, StructureError, UnknownSynsetError
 
 
-@dataclass(frozen=True, slots=True)
-class Synset:
-    """One concept node: id, member lemmas, gloss, direct hypernym ids."""
+class Synset(NamedTuple):
+    """One concept node: its id, member lemmas and direct hypernym ids."""
 
     id: str
     lemmas: tuple
-    gloss: str = ""
     hypernyms: tuple = ()
-
-    def __post_init__(self):
-        if not self.lemmas:
-            raise StructureError(f"synset {self.id!r} has no lemmas")
-        if self.id in self.hypernyms:
-            raise StructureError(f"synset {self.id!r} lists itself as hypernym")
 
 
 def _ranges(starts, lengths):
@@ -71,6 +63,9 @@ class Taxonomy:
         synsets = list(synsets)
         if not synsets:
             raise StructureError("empty taxonomy")
+        for s in synsets:
+            if not s.lemmas:
+                raise StructureError(f"synset {s.id!r} has no lemmas")
         self._ids = [s.id for s in synsets]
         self.synsets = dict(zip(self._ids, synsets))
         n = len(self._ids)
@@ -95,6 +90,9 @@ class Taxonomy:
             raise IntegrityError(
                 f"synset {s.id!r} references unknown hypernym {h!r}") from None
         child = np.repeat(np.arange(n), n_parents)
+        loops = child[child == parent]
+        if len(loops):
+            raise StructureError(f"synset {self._ids[loops[0]]!r} lists itself as hypernym")
         roots = np.flatnonzero(n_parents == 0)
         if len(roots) != 1:
             raise StructureError(

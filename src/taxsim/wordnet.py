@@ -52,14 +52,14 @@ def parse_data_noun(stream):
 
     Header lines (leading space) are skipped. Each record is
     ``offset lex_filenum ss_type w_cnt (word lex_id)* p_cnt (ptr)* | gloss``
-    with w_cnt in 2-digit hex and p_cnt in 3-digit decimal.
+    with w_cnt in 2-digit hex and p_cnt in 3-digit decimal. A line is cut at
+    its first ``|`` and the gloss dropped, so gloss words are never fields.
     """
     synsets = []
     for lineno, line in enumerate(stream, start=1):
         if line.startswith(" ") or not line or line.isspace():
             continue
-        body, _, gloss = line.partition("|")
-        fields = body.split()
+        fields = line.partition("|")[0].split()
         try:
             w_cnt = int(fields[3], 16)
             if w_cnt < 1:
@@ -74,7 +74,7 @@ def parse_data_noun(stream):
         hypernyms = tuple([fields[k + 1] for k in range(p_pos + 1, end, 4)
                            if fields[k + 2] == "n" and fields[k] in _HYPERNYM_SYMBOLS])
         synsets.append(Synset(fields[0], tuple(map(str.lower, fields[4:p_pos:2])),
-                              gloss.strip(), hypernyms))
+                              hypernyms))
     return synsets
 
 

@@ -1,6 +1,5 @@
 import io
 import os
-import random
 from collections import deque
 
 import pytest

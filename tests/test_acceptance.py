@@ -10,10 +10,9 @@ import time
 
 import pytest
 
-from taxsim.errors import IntegrityError
 from taxsim.evaluation import embedded_rg30, emit_report, pearson, run_benchmark
 from taxsim.ic import ic_hybrid_table, ic_sanchez, ic_seco
-from taxsim.similarity import MEASURES, get_measure, sim_new, word_similarity
+from taxsim.similarity import MEASURES, sim_new, word_similarity
 from taxsim.wordnet import load_wordnet
 
 from conftest import (
@@ -25,6 +24,7 @@ from conftest import (
     wordnet_dir,
 )
 from test_kernels import wordnet_shaped_dag
+from test_wordnet import render
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +36,25 @@ def wn():
     taxonomy, index = load_wordnet(directory)
     elapsed = time.perf_counter() - start
     return taxonomy, index, elapsed
+
+
+@pytest.fixture(scope="module")
+def shaped(tmp_path_factory):
+    """A WordNet-shaped DAG of C5's size, written as data.noun and
+    index.noun and loaded back the way `wn` loads WordNet: the DAG, the
+    loaded taxonomy and its load time."""
+    dag = wordnet_shaped_dag(random.Random(127), 4000, multi_share=0.03)
+    pos = {sid: k for k, sid in enumerate(dag.ids())}
+    nodes = [{"id": sid, "lemmas": s.lemmas, "decoys": [], "gloss": "a node | b",
+              "links": [(pos[h], "@") for h in s.hypernyms]}
+             for sid, s in dag.synsets.items()]
+    data, index = render(nodes, {s.lemmas[0]: [sid] for sid, s in dag.synsets.items()})
+    directory = tmp_path_factory.mktemp("wordnet_shaped")
+    (directory / "data.noun").write_text(data, encoding="utf-8")
+    (directory / "index.noun").write_text(index, encoding="utf-8")
+    start = time.perf_counter()
+    taxonomy, _ = load_wordnet(str(directory))
+    return dag, taxonomy, time.perf_counter() - start
 
 
 @needs_wordnet
@@ -110,6 +129,11 @@ def test_c4_ic_endpoints_random_trees():
 @needs_wordnet
 def test_c4_ic_endpoints_wordnet(wn):
     taxonomy, _, _ = wn
+    _check_ic_endpoints(taxonomy)
+
+
+def test_c4_ic_endpoints_wordnet_shaped(shaped):
+    _, taxonomy, _ = shaped
     _check_ic_endpoints(taxonomy)
 
 
@@ -193,6 +217,19 @@ def test_c7_parser_integrity(wn):
         for h in synset.hypernyms:
             assert h in taxonomy
     assert load_seconds < 5.0
+
+
+def test_c7_parser_integrity_wordnet_shaped(shaped):
+    # C7's structural checks on a loaded synthetic dictionary; its load
+    # bound is C7's 5 s for WordNet's 82,115 synsets, scaled by node count
+    dag, taxonomy, load_seconds = shaped
+    assert len(taxonomy) == len(dag) == 4000
+    assert dag.synsets[dag.root].lemmas[0] in taxonomy.synsets[taxonomy.root].lemmas
+    assert taxonomy.max_depth == dag.max_depth
+    for synset in taxonomy.synsets.values():
+        for h in synset.hypernyms:
+            assert h in taxonomy
+    assert load_seconds < 5.0 * len(taxonomy) / 82_115
 
 
 @needs_wordnet

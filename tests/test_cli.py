@@ -1,5 +1,4 @@
 import io
-import os
 
 import pytest
 
@@ -297,6 +296,13 @@ class TestBadInput:
         assert out == ""
         assert "line 4:" in err
 
+    def test_data_noun_self_hypernym_exits_one(self, capsys, tmp_path):
+        data = DATA_NOUN + "00000003 03 n 01 loop 0 001 @ 00000003 n 0000 | its own kind\n"
+        code, out, err = run(capsys, "info", "--wordnet", wordnet_dir(tmp_path, data=data))
+        assert code == 1
+        assert out == ""
+        assert err == "taxsim: synset '00000003' lists itself as hypernym\n"
+
     def test_index_noun_non_numeric_synset_cnt_exits_one(self, capsys, tmp_path):
         index = INDEX_NOUN + "thing n one 1 @ 1 0 00000002\n"
         code, out, err = run(capsys, "info", "--wordnet", wordnet_dir(tmp_path, index=index))
@@ -365,6 +371,20 @@ class TestCorpusIc:
         assert code == 3
         assert out == ""
         assert "--frequencies only applies to the corpus model" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("ic", "x", "--model", "corpus"), "--model"),
+        (("sim", "x", "y", "--measure", "resnik", "--ic", "corpus"), "--ic"),
+        (("bench", "--measures", "resnik,wup", "--ic", "corpus"), "--ic"),
+    ])
+    def test_corpus_without_frequencies_names_the_flag(
+            self, capsys, t7_file, mini_dataset, argv, flag):
+        if argv[0] == "bench":
+            argv += ("--dataset", mini_dataset)
+        code, out, err = run(capsys, *argv, "--taxonomy-tsv", t7_file)
+        assert code == 3
+        assert out == ""
+        assert err == f"taxsim: {flag} corpus requires --frequencies\n"
 
     def test_sim_jcn_norm_defaults_to_bench_pairing(self, capsys, t7_file, mini_dataset):
         code, out, _ = run(capsys, "sim", "e", "f", "--taxonomy-tsv", t7_file,

@@ -242,6 +242,20 @@ class TestEmitReport:
         text = emit_report(self.report(t, idx), "pretty")
         assert "word1" in text and "range" in text
 
+    def test_pretty_footer_counts_skipped_pairs(self, t7_both):
+        t, idx = t7_both
+        ds = load_dataset_tsv(io.StringIO(
+            "e\tzzz\t1.0\ne\tf\t2.0\nqqq\tb\t0.5\ne\tb\t0.5\nx\ty\t1.5\n"))
+        report = run_benchmark(t, idx, ds, [("wup", None)], skip_oov=True)
+        text = emit_report(report, "pretty")
+        assert text.endswith("\n\nskipped (OOV): 2 pair(s)\n")
+        assert "skipped" not in emit_report(self.report(t, idx), "pretty")
+
+    def test_unknown_format_raises(self, t7_both):
+        t, idx = t7_both
+        with pytest.raises(ValueError, match="^unknown report format 'json'$"):
+            emit_report(self.report(t, idx), "json")
+
     def test_four_decimal_formatting(self, t7_both):
         t, idx = t7_both
         text = emit_report(self.report(t, idx), "tsv")

@@ -13,7 +13,8 @@ from taxsim.wordnet import load_tsv_taxonomy
 
 from conftest import T7_TSV
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "taxsim"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "taxsim"
 
 
 def unused_imports(tree):
@@ -33,10 +34,11 @@ def test_unused_import_check_finds_one():
     assert unused_imports(tree) == [(1, "os"), (3, "d")]
 
 
-@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")
-                                        if p.name != "__init__.py"))
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "__init__.py"]
+                         + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    tree = ast.parse((SRC / path).read_text(encoding="utf-8"))
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     assert unused_imports(tree) == []
 
 

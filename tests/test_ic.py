@@ -7,7 +7,7 @@ import pytest
 from taxsim.errors import InvalidCombinationError, UnknownSynsetError, UnusableModelError
 from taxsim.ic import ic_corpus, ic_hybrid_table, ic_sanchez, ic_seco, make_table
 from taxsim.taxonomy import Synset, Taxonomy
-from taxsim.wordnet import load_frequencies
+from taxsim.wordnet import FrequencyTable, load_frequencies
 
 from conftest import random_dag, random_tree
 
@@ -44,6 +44,13 @@ class TestCorpus:
     def test_empty_table_unusable(self, t7, t7_index):
         with pytest.raises(UnusableModelError):
             ic_corpus(t7, t7_index, load_frequencies(io.StringIO("")))
+
+    def test_non_positive_total_unusable(self, t7, t7_index):
+        # load_frequencies rejects negative counts; a table built in code
+        # can still hold one, and smoothing alone cannot outweigh it
+        with pytest.raises(UnusableModelError,
+                           match="^corpus IC needs a positive total frequency$"):
+            ic_corpus(t7, t7_index, FrequencyTable({"r": -100}))
 
 
 class TestSeco:

@@ -109,6 +109,11 @@ class TestDepth:
             for sid in t.ids():
                 assert t.depth(sid) == depths[sid]
 
+    def test_unknown_id_message(self, t7):
+        with pytest.raises(UnknownSynsetError) as exc:
+            t7.depth("nope")
+        assert str(exc.value) == "unknown synset id: 'nope'"
+
     def test_max_depth(self, t7):
         assert t7.max_depth == 4
         assert max(t7.depth(sid) for sid in t7.ids()) == 4
@@ -312,12 +317,18 @@ class TestValidation:
             Taxonomy(synsets)
 
     def test_self_loop_rejected(self):
-        with pytest.raises(StructureError):
-            Synset("A", ("a",), hypernyms=("A",))
+        synsets = [
+            Synset("R", ("r",)),
+            Synset("A", ("a",), hypernyms=("R",)),
+            Synset("B", ("b",), hypernyms=("A", "B")),
+        ]
+        with pytest.raises(StructureError,
+                           match="^synset 'B' lists itself as hypernym$"):
+            Taxonomy(synsets)
 
     def test_empty_lemmas_rejected(self):
-        with pytest.raises(StructureError):
-            Synset("A", ())
+        with pytest.raises(StructureError, match="^synset 'A' has no lemmas$"):
+            Taxonomy([Synset("R", ("r",)), Synset("A", (), hypernyms=("R",))])
 
     def test_empty_taxonomy_rejected(self):
         with pytest.raises(StructureError, match="empty taxonomy"):

@@ -45,7 +45,6 @@ class TestParseDataNoun:
         root = synsets[0]
         assert root.id == "00000001"
         assert root.hypernyms == ()
-        assert root.gloss == "that which exists"
 
     def test_w_cnt_hex_consumes_lemma_pairs(self):
         synsets = parse_data_noun(io.StringIO(DATA_NOUN))
@@ -200,7 +199,6 @@ def test_data_and_index_round_trip(tmp_path, nodes, data):
         synset = taxonomy.synsets[node["id"]]
         assert synset.hypernyms == tuple(nodes[p]["id"] for p, _ in node["links"])
         assert synset.lemmas == tuple(w.lower() for w in node["lemmas"])
-        assert synset.gloss == node["gloss"]
     assert index.entries == senses
 
 
