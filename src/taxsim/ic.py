@@ -22,14 +22,14 @@ class IcTable:
         self.taxonomy = taxonomy
         self.model = model
         self.normalized = normalized
-        self._values = np.asarray(values, dtype=np.float64)
-        self._values.setflags(write=False)
+        self._values = memoryview(np.asarray(values, dtype=np.float64)).toreadonly()
 
     def __getitem__(self, synset_id):
-        return float(self._values[self.taxonomy._index(synset_id)])
+        return self._values[self.taxonomy._index(synset_id)]
 
     def values(self):
-        """Mapping-free view aligned to taxonomy.ids() order."""
+        """Read-only memoryview of the values in taxonomy.ids() order: it
+        indexes to Python floats, and ``np.asarray`` of it copies nothing."""
         return self._values
 
 
@@ -55,6 +55,11 @@ def ic_corpus(taxonomy, index, frequencies):
     root_freq = freq[taxonomy._index(taxonomy.root)]
     if root_freq <= 0:
         raise UnusableModelError("corpus IC needs a positive total frequency")
+    # a negative count (in a table built in code) can zero a subtree: IC inf or NaN
+    bad = np.flatnonzero(freq <= 0)
+    if len(bad):
+        raise UnusableModelError(f"corpus IC needs a positive frequency at every synset; "
+                                 f"{taxonomy._ids[bad[0]]!r} has {freq[bad[0]]:g}")
     values = -np.log(freq / root_freq)
     values[values <= 0] = 0.0  # guard against -0.0 / float noise at the root
     return IcTable(taxonomy, "corpus", values, normalized=False)
@@ -75,7 +80,7 @@ def ic_sanchez(taxonomy):
     commonness(c) sums 1/subsumer_count(leaf) over every leaf at or below
     c; a leaf contributes only its own term.
     """
-    leaf_weight = np.where(taxonomy._is_leaf, 1.0 / taxonomy._subsumers, 0.0)
+    leaf_weight = np.where(taxonomy._is_leaf, 1.0 / np.asarray(taxonomy._subsumers), 0.0)
     commonness = taxonomy._scatter_to_ancestors(leaf_weight)
     root_c = commonness[taxonomy._index(taxonomy.root)]
     values = -np.log(commonness / root_c)

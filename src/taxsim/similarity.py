@@ -28,9 +28,7 @@ def _ic_values(ic):
 
 def _indices(taxonomy, c1, c2):
     """Node indices of c1 and c2, smaller first, and of their lcs."""
-    i, j = taxonomy._index(c1), taxonomy._index(c2)
-    if i > j:
-        i, j = j, i
+    i, j = taxonomy._pair(c1, c2)
     return i, j, taxonomy._lcs(i, j)
 
 
@@ -38,12 +36,12 @@ def sim_resnik(taxonomy, ic, c1, c2):
     """IC of the lowest common subsumer."""
     values = _ic_values(ic)
     _, _, k = _indices(taxonomy, c1, c2)
-    return Score(float(values[k]))
+    return Score(values[k])
 
 
 def _jcn(values, i, j, k):
     """Jiang-Conrath distance from IC values and node indices."""
-    return max(float(values[i] + values[j] - 2.0 * values[k]), 0.0)
+    return max(values[i] + values[j] - 2.0 * values[k], 0.0)
 
 
 def dist_jcn(taxonomy, ic, c1, c2):
@@ -65,10 +63,10 @@ def sim_lin(taxonomy, ic, c1, c2):
     """2 IC(lcs) / (IC(c1) + IC(c2)); 0 when both ICs are 0."""
     values = _ic_values(ic)
     i, j, k = _indices(taxonomy, c1, c2)
-    denom = float(values[i] + values[j])
+    denom = values[i] + values[j]
     if denom == 0.0:
         return Score(0.0)
-    return Score(2.0 * float(values[k]) / denom)
+    return Score(2.0 * values[k] / denom)
 
 
 def dist_rada(taxonomy, c1, c2):
@@ -79,7 +77,7 @@ def dist_rada(taxonomy, c1, c2):
 def sim_wup(taxonomy, c1, c2):
     """Wu-Palmer: 2 d / (len + 2 d) with d the node-count depth of the lcs."""
     _, _, k = _indices(taxonomy, c1, c2)
-    d = int(taxonomy._depth[k])
+    d = taxonomy._depth[k]
     length = taxonomy.shortest_path_edges(c1, c2)
     return Score(2.0 * d / (length + 2.0 * d))
 
@@ -103,8 +101,7 @@ def sim_new(taxonomy, c1, c2):
     eps = math.log((m + 1) / m)
     i, j, k = _indices(taxonomy, c1, c2)
     subsumers = taxonomy._subsumers
-    d = math.log(subsumers[i]) + math.log(subsumers[j]) \
-        - 2.0 * math.log(subsumers[k])
+    d = math.log(subsumers[i]) + math.log(subsumers[j]) - 2.0 * math.log(subsumers[k])
     d = max(d, eps)
     return Score(math.log(2.0 * math.log(m) / d))
 

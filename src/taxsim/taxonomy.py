@@ -6,7 +6,8 @@ indices and fills all caches in one level-by-level pass. It then peels the
 undirected link graph down to its 2-core, so that the path search holds
 neighbour lists only for the core nodes and, per node, the node it hangs
 from, its core anchor and its hop count to it. All queries (ancestors,
-depth, counts) are pure reads over those caches. Lowest common subsumers
+depth, counts) are pure reads over those caches, the per-node ones through
+read-only memoryviews that index to Python numbers. Lowest common subsumers
 and shortest paths are searched on demand over them, each search memoised
 with ``functools.lru_cache`` over a pure function of node indices, so a
 loaded taxonomy is still safe to share across threads.
@@ -46,14 +47,22 @@ def _distinct(keys):
     return np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
 
 
+def _view(array):
+    """Read-only memoryview of an array: it indexes to Python numbers."""
+    return memoryview(array).toreadonly()
+
+
 def _lowest_common_subsumer(anc_indptr, anc_indices, depth, subsumers, ids, i, j):
-    """Index of the lcs of node indices i and j (see ``Taxonomy.lcs``)."""
+    """Index of the lcs of node indices i and j (see ``Taxonomy.lcs``).
+
+    The ancestor rows are read-only memoryviews and meet as a Python set of
+    ints; the key is a total order (ids are unique), so set order is moot.
+    """
     if i == j:
         return i
-    common = np.intersect1d(anc_indices[anc_indptr[i] : anc_indptr[i + 1]],
-                            anc_indices[anc_indptr[j] : anc_indptr[j + 1]],
-                            assume_unique=True)
-    return min(common.tolist(), key=lambda k: (-depth[k], -subsumers[k], ids[k]))
+    common = set(anc_indices[anc_indptr[i] : anc_indptr[i + 1]]).intersection(
+        anc_indices[anc_indptr[j] : anc_indptr[j + 1]])
+    return min(common, key=lambda k: (-depth[k], -subsumers[k], ids[k]))
 
 
 class Taxonomy:
@@ -142,11 +151,11 @@ class Taxonomy:
         # one root and no cycle mean every node reaches the root
         if placed != n:
             raise StructureError("hypernym graph contains a cycle")
-        self._depth = depth
+        self._depth = _view(depth)
         self.max_depth = int(depth.max())
-        self._anc_indptr = np.concatenate(([0], np.cumsum(row_len)))
-        self._anc_indices = rows[_ranges(row_start, row_len)]
-        self._subsumers = row_len
+        self._anc_indptr = _view(np.concatenate(([0], np.cumsum(row_len))))
+        self._anc_indices = _view(rows[_ranges(row_start, row_len)])
+        self._subsumers = _view(row_len)
         self.max_subsumer_count = int(row_len.max())
         # hyponym_count(c): distinct transitive descendants, excluding c
         self._hyponyms = np.bincount(self._anc_indices, minlength=n) - 1
@@ -199,11 +208,10 @@ class Taxonomy:
         neighbours = [flat[a:b] for a, b in zip([0] + bounds, bounds)]
         # wup, lch and rada_dist each ask for the same sense pairs, one
         # measure at a time, so a small memo answers the repeats. The
-        # per-node arrays go in as memoryviews, which index to Python ints
-        # without holding an int object per node.
+        # per-node arrays go in as views, which index to Python ints without
+        # holding an int object per node.
         self._path = functools.lru_cache(maxsize=4096)(functools.partial(
-            kernels.bfs_distance, memoryview(up), memoryview(anchor),
-            memoryview(hang), neighbours))
+            kernels.bfs_distance, _view(up), _view(anchor), _view(hang), neighbours))
 
         # every measure asks for the lcs of the same sense pairs, one
         # measure at a time; the memo is keyed (min(i, j), max(i, j)) and
@@ -219,6 +227,14 @@ class Taxonomy:
             return self._pos[synset_id]
         except KeyError:
             raise UnknownSynsetError(synset_id) from None
+
+    def _pair(self, c1, c2):
+        """Node indices of c1 and c2, smaller first."""
+        try:
+            i, j = self._pos[c1], self._pos[c2]
+        except KeyError as exc:
+            raise UnknownSynsetError(exc.args[0]) from None
+        return (i, j) if i <= j else (j, i)
 
     def __contains__(self, synset_id):
         return synset_id in self._pos
@@ -244,7 +260,7 @@ class Taxonomy:
 
     def subsumer_count(self, synset_id):
         """|ancestors(c)|, counting c itself; 1 only for the root."""
-        return int(self._subsumers[self._index(synset_id)])
+        return self._subsumers[self._index(synset_id)]
 
     def hyponym_count(self, synset_id):
         """Distinct transitive descendants, excluding the synset itself."""
@@ -255,7 +271,7 @@ class Taxonomy:
 
     def depth(self, synset_id):
         """Node count along a shortest hypernym path from root; depth(root) = 1."""
-        return int(self._depth[self._index(synset_id)])
+        return self._depth[self._index(synset_id)]
 
     def lcs(self, c1, c2):
         """Deepest common ancestor of c1 and c2.
@@ -265,13 +281,11 @@ class Taxonomy:
         node itself: on multi-parent DAGs a min-path-deeper ancestor could
         otherwise win, which would break dist(c, c) == 0 downstream.
         """
-        i, j = self._index(c1), self._index(c2)
-        return self._ids[self._lcs(i, j) if i <= j else self._lcs(j, i)]
+        return self._ids[self._lcs(*self._pair(c1, c2))]
 
     def shortest_path_edges(self, c1, c2):
         """Fewest hypernym edges connecting c1 and c2, links taken as undirected."""
-        i, j = self._index(c1), self._index(c2)
-        return self._path(i, j) if i <= j else self._path(j, i)
+        return self._path(*self._pair(c1, c2))
 
     # -- bulk helpers used by the IC models -------------------------------
 

@@ -47,6 +47,21 @@ def test_measure_ic_models_are_known():
         assert measure.ic_model is None or measure.ic_model in ic.MODELS
 
 
+def test_scoring_reads_frozen_views():
+    # the measures, the lcs and the path search read per-node arrays one
+    # entry at a time through read-only memoryviews: shared across threads,
+    # never written, and never copied into a list
+    taxonomy, _ = load_tsv_taxonomy(io.StringIO(T7_TSV))
+    *lcs_arrays, ids = taxonomy._lcs.__wrapped__.args
+    *path_arrays, neighbours = taxonomy._path.__wrapped__.args
+    assert ids is taxonomy._ids
+    assert isinstance(neighbours, list)
+    views = lcs_arrays + path_arrays + [ic.make_table(taxonomy, m).values()
+                                        for m in ("seco", "sanchez", "hybrid")]
+    for view in views:
+        assert isinstance(view, memoryview) and view.readonly
+
+
 @pytest.mark.parametrize("name", [m.name for m in MEASURES.values() if m.ic_model])
 def test_ic_measure_scores_with_its_own_model(name):
     taxonomy, index = load_tsv_taxonomy(io.StringIO(T7_TSV))

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import warnings
 
 import pytest
 
@@ -51,6 +52,19 @@ class TestCorpus:
         with pytest.raises(UnusableModelError,
                            match="^corpus IC needs a positive total frequency$"):
             ic_corpus(t7, t7_index, FrequencyTable({"r": -100}))
+
+    @pytest.mark.parametrize("count, first", [(-1, "E"), (-5, "A")])
+    def test_non_positive_subtree_unusable(self, t7, t7_index, count, first):
+        # the root total stays positive, but E's weight is count + 1: -1
+        # zeroes E, and -5 takes C below zero and A to zero with it. The
+        # first such synset in load order (A, R, B, C, D, E, F) is named,
+        # before a log could warn or give inf or NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnusableModelError,
+                               match=f"^corpus IC needs a positive frequency at every "
+                                     f"synset; '{first}' has 0$"):
+                ic_corpus(t7, t7_index, FrequencyTable({"e": count}))
 
 
 class TestSeco:

@@ -3,8 +3,13 @@ import random
 
 import pytest
 
-from taxsim.errors import InvalidCombinationError, OutOfVocabularyError, UnusableModelError
-from taxsim.ic import ic_hybrid_table, ic_seco
+from taxsim.errors import (
+    InvalidCombinationError,
+    OutOfVocabularyError,
+    UnknownSynsetError,
+    UnusableModelError,
+)
+from taxsim.ic import MODELS, ic_hybrid_table, ic_seco, make_table
 from taxsim.similarity import (
     DISTANCE,
     MEASURES,
@@ -22,6 +27,7 @@ from taxsim.similarity import (
     word_similarity,
 )
 from taxsim.taxonomy import Synset, Taxonomy
+from taxsim.wordnet import FrequencyTable
 
 from conftest import random_dag
 
@@ -223,6 +229,34 @@ class TestWordSimilarity:
         score, c1, c2 = best_sense_pair(t7, t7_index, name, "x", "x")
         assert score == get_measure(name)(t7, "D", "D")
         assert (c1, c2) == ("E", "E")
+
+
+class TestScalarContracts:
+    """Scores and IC values are plain Python floats: a numpy scalar in a
+    Score would print as np.float64(...) under numpy 2."""
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_word_score_is_float(self, t7, t7_index, name):
+        measure = MEASURES[name]
+        ic = make_table(t7, measure.ic_model) if measure.ic_model else None
+        for w1 in t7_index.entries:
+            for w2 in t7_index.entries:
+                score = word_similarity(t7, t7_index, measure, w1, w2, ic=ic)
+                assert type(score.value) is float, (w1, w2)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_ic_value_is_float(self, t7, t7_index, model):
+        table = make_table(t7, model, index=t7_index, frequencies=FrequencyTable({"e": 3}))
+        assert all(type(table[sid]) is float for sid in t7.ids())
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    @pytest.mark.parametrize("pair", [("nope", "E"), ("E", "nope")])
+    def test_unknown_id_is_named(self, t7, name, pair):
+        measure = MEASURES[name]
+        ic = make_table(t7, measure.ic_model) if measure.ic_model else None
+        with pytest.raises(UnknownSynsetError) as exc:
+            measure(t7, *pair, ic=ic)
+        assert str(exc.value) == "unknown synset id: 'nope'"
 
 
 class TestMeasureInvariants:

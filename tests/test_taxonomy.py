@@ -162,11 +162,29 @@ class TestLcs:
             info = t._lcs.cache_info()
             assert info.currsize == info.maxsize < len(pairs) // 2
 
+    def test_id_breaks_tie_against_index_order(self):
+        # Z is loaded before Y, so it has the smaller node index; both are
+        # common parents of P and Q with equal depth and subsumer count, and
+        # the smaller id wins
+        t = Taxonomy([Synset("R", ("r",)), Synset("Z", ("z",), ("R",)),
+                      Synset("Y", ("y",), ("R",)), Synset("P", ("p",), ("Z", "Y")),
+                      Synset("Q", ("q",), ("Z", "Y"))])
+        assert t.lcs("P", "Q") == "Y"
+        assert t.ids()[t._lcs.__wrapped__(t._index("P"), t._index("Q"))] == "Y"
+
     def test_depth_bounded_by_arguments(self, t7):
         for c1 in t7.ids():
             for c2 in t7.ids():
                 lcs = t7.lcs(c1, c2)
                 assert t7.depth(lcs) <= min(t7.depth(c1), t7.depth(c2))
+
+
+@pytest.mark.parametrize("query", ["lcs", "shortest_path_edges"])
+@pytest.mark.parametrize("pair", [("nope", "E"), ("E", "nope")])
+def test_pair_query_names_unknown_id(t7, query, pair):
+    with pytest.raises(UnknownSynsetError) as exc:
+        getattr(t7, query)(*pair)
+    assert str(exc.value) == "unknown synset id: 'nope'"
 
 
 class TestShortestPath:
