@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 from .errors import OutOfVocabularyError, ParseError, UndefinedCorrelationError
 from .similarity import get_measure, word_similarity
+from .wordnet import tsv_rows
 
 # Rubenstein & Goodenough subset: 30 word pairs with averaged human
 # similarity ratings on the 0.0-4.0 scale.
@@ -74,11 +75,7 @@ def load_dataset_tsv(stream, name="custom"):
     finite number, raises ParseError with its line number.
     """
     pairs = []
-    for number, line in enumerate(stream, 1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
+    for number, fields in tsv_rows(stream):
         if len(fields) != 3:
             raise ParseError(f"expected 3 tab-separated columns, found {len(fields)}",
                              number)

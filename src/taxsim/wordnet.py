@@ -78,8 +78,11 @@ def parse_data_noun(stream):
     return synsets
 
 
-def parse_index_noun(stream):
-    """Parse a WordNet 3.0 ``index.noun`` stream into a LemmaIndex."""
+def parse_index_noun(stream, taxonomy):
+    """Parse a WordNet 3.0 ``index.noun`` stream into a LemmaIndex over
+    taxonomy. A lemma with no sense, a lemma seen before, or an offset that
+    is not a synset of taxonomy raises at its line."""
+    known = taxonomy._pos
     entries = {}
     for lineno, line in enumerate(stream, start=1):
         if line.startswith(" ") or not line or line.isspace():
@@ -88,6 +91,8 @@ def parse_index_noun(stream):
         try:
             lemma = fields[0].lower()
             synset_cnt = int(fields[2], 10)
+            if synset_cnt < 1:
+                raise ValueError("synset_cnt must be >= 1")
             p_cnt = int(fields[3], 10)
             offsets = fields[4 + p_cnt + 2 :]
         except (IndexError, ValueError) as exc:
@@ -96,6 +101,12 @@ def parse_index_noun(stream):
             raise ParseError(
                 f"lemma {lemma!r}: synset_cnt {synset_cnt} but "
                 f"{len(offsets)} trailing offsets", lineno)
+        if lemma in entries:
+            raise ParseError(f"duplicate lemma {lemma!r}", lineno)
+        for off in offsets:
+            if off not in known:
+                raise IntegrityError(f"line {lineno}: index lemma {lemma!r} "
+                                     f"references unknown synset {off}")
         entries[lemma] = offsets
     return LemmaIndex(entries)
 
@@ -103,17 +114,18 @@ def parse_index_noun(stream):
 def load_wordnet(directory):
     """Load data.noun + index.noun from a WordNet 3.0 dict directory."""
     with open(os.path.join(directory, "data.noun"), encoding="utf-8") as f:
-        synsets = parse_data_noun(f)
-    taxonomy = Taxonomy(synsets)
+        taxonomy = Taxonomy(parse_data_noun(f))
     with open(os.path.join(directory, "index.noun"), encoding="utf-8") as f:
-        index = parse_index_noun(f)
-    known = taxonomy._pos
-    for lemma, offs in index.entries.items():
-        for off in offs:
-            if off not in known:
-                raise IntegrityError(
-                    f"index lemma {lemma!r} references unknown synset {off}")
-    return taxonomy, index
+        return taxonomy, parse_index_noun(f, taxonomy)
+
+
+def tsv_rows(stream):
+    """Yield ``(line number, fields)`` per TSV line: the newline stripped,
+    blank, whitespace-only and ``#`` lines skipped, the rest split on tabs."""
+    for lineno, line in enumerate(stream, start=1):
+        line = line.rstrip("\n")
+        if line.strip() and not line.startswith("#"):
+            yield lineno, line.split("\t")
 
 
 def load_tsv_taxonomy(stream):
@@ -123,69 +135,50 @@ def load_tsv_taxonomy(stream):
     lines bind extra lemmas. The one node with no parent line is the root.
     Every node also gets its own lowercased id as a lemma.
     """
-    edges = set()
+    parents = {}  # node -> its parents, nodes in order of first mention
     bindings = []
-    nodes = []
-    seen = set()
-
-    def add_node(name):
-        if name not in seen:
-            seen.add(name)
-            nodes.append(name)
-
-    for lineno, line in enumerate(stream, start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
+    for lineno, parts in tsv_rows(stream):
         if len(parts) == 3 and parts[1] == "#":
             bindings.append((lineno, parts[0], parts[2]))
             continue
         if len(parts) != 2:
+            line = "\t".join(parts)
             raise ParseError(f"expected 'child<TAB>parent', got {line!r}", lineno)
         child, parent = parts[0].strip(), parts[1].strip()
         if not child or not parent:
             raise ParseError("empty node name", lineno)
         if child == parent:
             raise StructureError(f"line {lineno}: self-loop edge {child!r}")
-        if (child, parent) in edges:
+        hypernyms = parents.setdefault(child, [])
+        if parent in hypernyms:
             warnings.warn(f"duplicate edge {child!r} -> {parent!r} (line {lineno})")
             continue
-        edges.add((child, parent))
-        add_node(child)
-        add_node(parent)
-
-    parents = {n: [] for n in nodes}
-    for child, parent in sorted(edges):
-        parents[child].append(parent)
+        hypernyms.append(parent)
+        parents.setdefault(parent, [])
 
     entries = {}
     synsets = []
-    for n in nodes:
-        synsets.append(Synset(id=n, lemmas=(normalize_lemma(n),),
-                              hypernyms=tuple(parents[n])))
-        entries.setdefault(normalize_lemma(n), []).append(n)
+    for n, hypernyms in parents.items():
+        key = normalize_lemma(n)
+        synsets.append(Synset(n, (key,), tuple(sorted(hypernyms))))
+        entries.setdefault(key, []).append(n)
     taxonomy = Taxonomy(synsets)
     for lineno, lemma, target in bindings:
         if target not in taxonomy:
             raise ParseError(f"lemma {lemma!r} bound to unknown synset {target!r}",
                              lineno)
-        key = normalize_lemma(lemma)
-        entries.setdefault(key, [])
-        if target not in entries[key]:
-            entries[key].append(target)
+        senses = entries.setdefault(normalize_lemma(lemma), [])
+        if target not in senses:
+            senses.append(target)
     return taxonomy, LemmaIndex(entries)
 
 
 def load_frequencies(stream):
     """Load ``lemma<TAB>count`` lines; duplicate lemmas are summed."""
     counts = {}
-    for lineno, line in enumerate(stream, start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
+    for lineno, parts in tsv_rows(stream):
         if len(parts) != 2:
+            line = "\t".join(parts)
             raise ParseError(f"expected 'lemma<TAB>count', got {line!r}", lineno)
         lemma = normalize_lemma(parts[0])
         try:

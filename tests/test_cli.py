@@ -94,6 +94,14 @@ class TestIc:
         assert code == 0
         assert out.strip().endswith("0.0000")
 
+    @pytest.mark.parametrize("model", ["sanchez", "corpus"])
+    def test_root_prints_positive_zero(self, capsys, t7_file, freq_file, model):
+        # -log(1.0) is -0.0, which would print as -0.0000
+        frequencies = ["--frequencies", freq_file] if model == "corpus" else []
+        code, out, _ = run(capsys, "ic", "r", "--taxonomy-tsv", t7_file,
+                           "--model", model, *frequencies)
+        assert (code, out) == (0, "R\tr\t0.0000\n")
+
     def test_leaf_seco_is_one(self, capsys, t7_file):
         code, out, _ = run(capsys, "ic", "e", "--taxonomy-tsv", t7_file,
                            "--model", "seco")
@@ -309,6 +317,20 @@ class TestBadInput:
         assert code == 1
         assert out == ""
         assert "line 3:" in err
+
+    @pytest.mark.parametrize("argv", [["info"], ["sim", "nothing", "thing"],
+                                      ["ic", "nothing"]], ids=["info", "sim", "ic"])
+    @pytest.mark.parametrize("record, message", [
+        ("ghost n 1 0 1 0 99999999",
+         "index lemma 'ghost' references unknown synset 99999999"),
+        ("nothing n 0 0 0 0", "malformed index.noun record: synset_cnt must be >= 1"),
+        ("thing n 1 0 1 0 00000001", "duplicate lemma 'thing'"),
+    ], ids=["unknown_offset", "zero_senses", "duplicate_lemma"])
+    def test_bad_index_noun_record_exits_one(self, capsys, tmp_path, record, message,
+                                             argv):
+        index = INDEX_NOUN + record + "\n"
+        code, out, err = run(capsys, *argv, "--wordnet", wordnet_dir(tmp_path, index=index))
+        assert (code, out, err) == (1, "", f"taxsim: line 3: {message}\n")
 
 
 class TestCorpusIc:

@@ -1,20 +1,25 @@
 """Checks on the package source and its declarations, not on its results."""
 
 import ast
+import importlib
 import io
 import pathlib
+import re
+import sys
 
 import pytest
 
-from taxsim import ic
+from taxsim import cli, evaluation, ic, similarity, wordnet
 from taxsim.cli import _measure_tables, build_parser
 from taxsim.similarity import MEASURES
-from taxsim.wordnet import load_tsv_taxonomy
+from taxsim.taxonomy import Taxonomy
+from taxsim.wordnet import load_frequencies, load_tsv_taxonomy, parse_data_noun
 
 from conftest import T7_TSV
 
 TESTS = pathlib.Path(__file__).resolve().parent
-SRC = TESTS.parent / "src" / "taxsim"
+ROOT = TESTS.parent
+SRC = ROOT / "src" / "taxsim"
 
 
 def unused_imports(tree):
@@ -73,3 +78,85 @@ def test_ic_measure_scores_with_its_own_model(name):
     for c1 in ids:
         for c2 in ids:
             MEASURES[name](taxonomy, c1, c2, ic=table)
+
+
+def third_party_imports(paths, local):
+    """Top-level modules imported in paths that are neither stdlib nor local."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - local
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+
+    def names(requirements):
+        return {re.split(r"[\s<>=!~;\[]", req)[0] for req in requirements}
+
+    assert third_party_imports(SRC.glob("*.py"), {"taxsim"}) == names(
+        project["dependencies"])
+    local = {"taxsim"} | {path.stem for path in TESTS.glob("*.py")}
+    assert third_party_imports(TESTS.glob("*.py"), local) <= names(
+        project["optional-dependencies"]["test"])
+
+
+def test_perfbench_interface(tmp_path, monkeypatch, capsys):
+    # every name the benchmark harness under perfbench/ reaches in taxsim;
+    # each message names the harness file that breaks without it
+    t7, index = load_tsv_taxonomy(io.StringIO(T7_TSV))
+    try:
+        importlib.import_module("taxsim.kernels")
+    except ImportError:
+        pytest.fail("run.py's environment probe and spans.py import taxsim.kernels")
+    for module, attr in [(wordnet, "parse_data_noun"), (wordnet, "parse_index_noun"),
+                         (wordnet, "load_frequencies"), (wordnet, "load_wordnet"),
+                         (similarity, "word_similarity"), (evaluation, "run_benchmark"),
+                         (evaluation, "pearson"), (evaluation, "emit_report"),
+                         (evaluation, "embedded_rg30"), (cli, "main"),
+                         (Taxonomy, "__init__"), (Taxonomy, "lcs"),
+                         (Taxonomy, "shortest_path_edges")]:
+        assert callable(getattr(module, attr, None)), f"spans.py traces {attr}"
+    frequencies = load_frequencies(io.StringIO("e\t1\n"))
+    assert ic.make_table(t7, "corpus", index=index, frequencies=frequencies), \
+        "client.py informational passes index= and frequencies="
+    assert type(index.senses("x")) is list, "oracle.py compares senses with a list"
+    assert len(index.entries) == 9, "oracle.py counts index.entries"
+    for name, measure in MEASURES.items():
+        assert measure.name == name and hasattr(measure, "kind") and \
+            hasattr(measure, "ic_model"), "spans.py stands in for MEASURES entries"
+        table = ic.make_table(t7, measure.ic_model) if measure.ic_model else None
+        assert measure(t7, "E", "D", ic=table).value is not None, \
+            "client.py scores MEASURES entries"
+    data = "00000001 03 n 01 entity 0 000 | root\n"
+    assert len(parse_data_noun(io.StringIO(data))) == 1, "spans.py counts records"
+    record = t7.synsets.get("E")
+    assert (record.lemmas, record.hypernyms) == (("e",), ("C",)), \
+        "oracle.py reads synsets.get(id).lemmas and .hypernyms"
+    assert (len(t7), t7.max_depth, len(t7.leaves()), t7.depth("E"), t7.lcs("E", "D"),
+            t7.shortest_path_edges("E", "D")) == (7, 4, 4, 4, "A", 3), \
+        "oracle.py and client.py query the taxonomy"
+
+    calls = {"run_benchmark": 0, "word_similarity": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(evaluation, name, counted(name, getattr(evaluation, name)))
+    (tmp_path / "t7.tsv").write_text(T7_TSV, encoding="utf-8")
+    (tmp_path / "pairs.tsv").write_text("e\tf\t3.0\ne\tb\t0.5\nc\td\t1.0\n",
+                                        encoding="utf-8")
+    code = cli.main(["bench", "--taxonomy-tsv", str(tmp_path / "t7.tsv"),
+                     "--dataset", str(tmp_path / "pairs.tsv")])
+    capsys.readouterr()
+    assert (code, calls) == (0, {"run_benchmark": 1, "word_similarity": 3 * len(MEASURES)}), \
+        "clirun.py patches evaluation.run_benchmark and evaluation.word_similarity"

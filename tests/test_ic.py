@@ -6,7 +6,7 @@ import warnings
 import pytest
 
 from taxsim.errors import InvalidCombinationError, UnknownSynsetError, UnusableModelError
-from taxsim.ic import ic_corpus, ic_hybrid_table, ic_sanchez, ic_seco, make_table
+from taxsim.ic import MODELS, ic_corpus, ic_hybrid_table, ic_sanchez, ic_seco, make_table
 from taxsim.taxonomy import Synset, Taxonomy
 from taxsim.wordnet import FrequencyTable, load_frequencies
 
@@ -158,6 +158,12 @@ class TestSharedInvariants:
         table = builder(t7)
         if table.normalized:
             assert all(0.0 <= table[sid] <= 1.0 for sid in t7.ids())
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_root_is_positive_zero(self, model, t7, t7_index):
+        # the root's -log(1.0) is -0.0, which `taxsim ic` would print as -0.0000
+        table = make_table(t7, model, index=t7_index, frequencies=zero_frequencies(t7))
+        assert math.copysign(1.0, table[t7.root]) == 1.0
 
 
 def test_make_table_dispatch(t7, t7_index):

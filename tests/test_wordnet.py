@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from taxsim.errors import IntegrityError, ParseError, StructureError
+from taxsim.evaluation import load_dataset_tsv
 from taxsim.wordnet import (
     load_frequencies,
     load_tsv_taxonomy,
@@ -33,6 +34,8 @@ alpha n 1 1 @ 1 0 00000002
 gamma n 2 2 @ ~ 2 0 00000004 00000002
 beta n 1 1 @ 1 0 00000003
 """
+
+DATA_TAXONOMY = Taxonomy(parse_data_noun(io.StringIO(DATA_NOUN)))
 
 
 class TestParseDataNoun:
@@ -82,15 +85,15 @@ class TestParseDataNoun:
 
 class TestParseIndexNoun:
     def test_sense_order_preserved(self):
-        index = parse_index_noun(io.StringIO(INDEX_NOUN))
+        index = parse_index_noun(io.StringIO(INDEX_NOUN), DATA_TAXONOMY)
         assert index.senses("gamma") == ["00000004", "00000002"]
 
     def test_single_sense(self):
-        index = parse_index_noun(io.StringIO(INDEX_NOUN))
+        index = parse_index_noun(io.StringIO(INDEX_NOUN), DATA_TAXONOMY)
         assert index.senses("alpha") == ["00000002"]
 
     def test_absent_lemma_is_distinguishable(self):
-        index = parse_index_noun(io.StringIO(INDEX_NOUN))
+        index = parse_index_noun(io.StringIO(INDEX_NOUN), DATA_TAXONOMY)
         assert "zeta" not in index
         with pytest.raises(KeyError):
             index.senses("zeta")
@@ -98,7 +101,17 @@ class TestParseIndexNoun:
     def test_synset_cnt_mismatch(self):
         bad = "alpha n 2 1 @ 2 0 00000002\n"
         with pytest.raises(ParseError):
-            parse_index_noun(io.StringIO(bad))
+            parse_index_noun(io.StringIO(bad), DATA_TAXONOMY)
+
+    @pytest.mark.parametrize("text, error, line", [
+        # a zero-sense record before an unknown offset, then the reverse
+        ("alpha n 0 0 0 0\nghost n 1 0 1 0 99999999\n", ParseError, 1),
+        ("ghost n 1 0 1 0 99999999\nalpha n 0 0 0 0\n", IntegrityError, 1),
+        ("beta n 1 0 1 0 00000003\nbeta n 1 0 1 0 00000001\n", ParseError, 2),
+    ], ids=["zero_senses_first", "unknown_offset_first", "duplicate_lemma"])
+    def test_first_bad_line_wins(self, text, error, line):
+        with pytest.raises(error, match=f"^line {line}: "):
+            parse_index_noun(io.StringIO(text), DATA_TAXONOMY)
 
 
 class TestLoadWordnet:
@@ -257,6 +270,19 @@ class TestFrequencies:
     def test_non_numeric_rejected(self):
         with pytest.raises(ParseError):
             load_frequencies(io.StringIO("dog\tmany\n"))
+
+
+@pytest.mark.parametrize("load, row, message", [
+    (load_tsv_taxonomy, "A\tR\tX", "expected 'child<TAB>parent', got 'A\\tR\\tX'"),
+    (load_frequencies, "a\t1\t2", "expected 'lemma<TAB>count', got 'a\\t1\\t2'"),
+    (load_dataset_tsv, "a\tb", "expected 3 tab-separated columns, found 2"),
+], ids=["taxonomy", "frequencies", "dataset"])
+def test_tsv_loaders_share_the_row_rule(load, row, message):
+    # a comment, a blank and a whitespace-only line are skipped but counted
+    with pytest.raises(ParseError) as exc:
+        load(io.StringIO("# comment\n\n \t \n" + row + "\n"))
+    assert exc.value.line_number == 4
+    assert str(exc.value) == f"line 4: {message}"
 
 
 def test_normalize_lemma():
