@@ -2,7 +2,14 @@
 
 
 class TaxonomyError(Exception):
-    """Base class for all taxsim errors."""
+    """Base class for all taxsim errors. Given a line number, the message
+    starts with ``line N: `` and ``.line_number`` holds N."""
+
+    def __init__(self, message, line_number=None):
+        if line_number is not None:
+            message = f"line {line_number}: {message}"
+        super().__init__(message)
+        self.line_number = line_number
 
 
 class UnknownSynsetError(TaxonomyError, KeyError):
@@ -18,12 +25,6 @@ class UnknownSynsetError(TaxonomyError, KeyError):
 
 class ParseError(TaxonomyError):
     """A source file line could not be parsed."""
-
-    def __init__(self, message, line_number=None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
-        self.line_number = line_number
 
 
 class StructureError(TaxonomyError):

@@ -1,8 +1,8 @@
 """Immutable hypernym DAG with precomputed ancestor/depth caches.
 
 A Taxonomy is built once from Synset records and frozen; all graph checks
-live in the build. It maps every hypernym link to a pair of int node
-indices and fills all caches in one level-by-level pass. It then peels the
+live in the build. It maps every distinct hypernym link to a pair of int
+node indices and fills all caches in one level-by-level pass. It then peels the
 undirected link graph down to its 2-core, so that the path search holds
 neighbour lists only for the core nodes and, per node, the node it hangs
 from, its core anchor and its hop count to it. All queries (ancestors,
@@ -86,9 +86,8 @@ class Taxonomy:
                 seen.add(sid)
         self._pos = dict(zip(self._ids, range(n)))
 
-        # every hypernym link once, as int pairs child[k] -> parent[k] in
-        # input order, so the links of each child are contiguous
-        n_parents = np.array([len(s.hypernyms) for s in synsets], dtype=np.int64)
+        # every hypernym link once, as int pairs child[k] -> parent[k]
+        # sorted by child, then parent; a link listed twice counts once
         try:
             parent = np.array([self._pos[h] for s in synsets for h in s.hypernyms],
                               dtype=np.int64)
@@ -98,7 +97,9 @@ class Taxonomy:
             s = next(s for s in synsets if h in s.hypernyms)
             raise IntegrityError(
                 f"synset {s.id!r} references unknown hypernym {h!r}") from None
-        child = np.repeat(np.arange(n), n_parents)
+        child = np.repeat(np.arange(n), [len(s.hypernyms) for s in synsets])
+        child, parent = np.divmod(_distinct(child * n + parent), n)
+        n_parents = np.bincount(child, minlength=n)
         loops = child[child == parent]
         if len(loops):
             raise StructureError(f"synset {self._ids[loops[0]]!r} lists itself as hypernym")

@@ -47,25 +47,36 @@ def normalize_lemma(lemma):
     return lemma.strip().lower().replace(" ", "_")
 
 
+def wordnet_records(stream):
+    """Yield ``(line number, fields)`` per WordNet 3.0 database record:
+    header lines (leading space), blank and whitespace-only lines skipped,
+    the rest cut at its first ``|`` and split on whitespace, so gloss words
+    are never fields."""
+    for lineno, line in enumerate(stream, start=1):
+        if line and not line.startswith(" ") and not line.isspace():
+            yield lineno, line.partition("|")[0].split()
+
+
+def _count(text, name, low, base=10):
+    """A record's count field as an int, at least low."""
+    value = int(text, base)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return value
+
+
 def parse_data_noun(stream):
     """Parse a WordNet 3.0 ``data.noun`` stream into a list of Synset.
 
-    Header lines (leading space) are skipped. Each record is
-    ``offset lex_filenum ss_type w_cnt (word lex_id)* p_cnt (ptr)* | gloss``
-    with w_cnt in 2-digit hex and p_cnt in 3-digit decimal. A line is cut at
-    its first ``|`` and the gloss dropped, so gloss words are never fields.
+    Each record is ``offset lex_filenum ss_type w_cnt (word lex_id)* p_cnt
+    (ptr)* | gloss`` with w_cnt in 2-digit hex and p_cnt in 3-digit decimal.
     """
     synsets = []
-    for lineno, line in enumerate(stream, start=1):
-        if line.startswith(" ") or not line or line.isspace():
-            continue
-        fields = line.partition("|")[0].split()
+    for lineno, fields in wordnet_records(stream):
         try:
-            w_cnt = int(fields[3], 16)
-            if w_cnt < 1:
-                raise ValueError("w_cnt must be >= 1")
+            w_cnt = _count(fields[3], "w_cnt", 1, 16)
             p_pos = 4 + 2 * w_cnt
-            end = p_pos + 1 + 4 * int(fields[p_pos], 10)
+            end = p_pos + 1 + 4 * _count(fields[p_pos], "p_cnt", 0)
             if len(fields) < end:
                 raise ValueError(f"record needs {end} fields, has {len(fields)}")
         except (IndexError, ValueError) as exc:
@@ -84,17 +95,11 @@ def parse_index_noun(stream, taxonomy):
     is not a synset of taxonomy raises at its line."""
     known = taxonomy._pos
     entries = {}
-    for lineno, line in enumerate(stream, start=1):
-        if line.startswith(" ") or not line or line.isspace():
-            continue
-        fields = line.split()
+    for lineno, fields in wordnet_records(stream):
         try:
             lemma = fields[0].lower()
-            synset_cnt = int(fields[2], 10)
-            if synset_cnt < 1:
-                raise ValueError("synset_cnt must be >= 1")
-            p_cnt = int(fields[3], 10)
-            offsets = fields[4 + p_cnt + 2 :]
+            synset_cnt = _count(fields[2], "synset_cnt", 1)
+            offsets = fields[4 + _count(fields[3], "p_cnt", 0) + 2 :]
         except (IndexError, ValueError) as exc:
             raise ParseError(f"malformed index.noun record: {exc}", lineno) from None
         if len(offsets) != synset_cnt:
@@ -105,8 +110,8 @@ def parse_index_noun(stream, taxonomy):
             raise ParseError(f"duplicate lemma {lemma!r}", lineno)
         for off in offsets:
             if off not in known:
-                raise IntegrityError(f"line {lineno}: index lemma {lemma!r} "
-                                     f"references unknown synset {off}")
+                raise IntegrityError(
+                    f"index lemma {lemma!r} references unknown synset {off}", lineno)
         entries[lemma] = offsets
     return LemmaIndex(entries)
 
@@ -139,7 +144,7 @@ def load_tsv_taxonomy(stream):
     bindings = []
     for lineno, parts in tsv_rows(stream):
         if len(parts) == 3 and parts[1] == "#":
-            bindings.append((lineno, parts[0], parts[2]))
+            bindings.append((lineno, parts[0], parts[2].strip()))
             continue
         if len(parts) != 2:
             line = "\t".join(parts)
@@ -148,7 +153,7 @@ def load_tsv_taxonomy(stream):
         if not child or not parent:
             raise ParseError("empty node name", lineno)
         if child == parent:
-            raise StructureError(f"line {lineno}: self-loop edge {child!r}")
+            raise StructureError(f"self-loop edge {child!r}", lineno)
         hypernyms = parents.setdefault(child, [])
         if parent in hypernyms:
             warnings.warn(f"duplicate edge {child!r} -> {parent!r} (line {lineno})")

@@ -69,6 +69,18 @@ class TestInfo:
                      "core_nodes 1"):
             assert line in lines
 
+    def test_repeated_link_counts_once(self, capsys, tmp_path):
+        # part lists thing twice, as @ and as @i: the counts of one link
+        data = (DATA_NOUN
+                + "00000003 03 n 01 part 0 002 @ 00000002 n 0000 @i 00000002 n 0000 | p\n"
+                "00000004 03 n 01 other 0 001 @ 00000001 n 0000 | another\n")
+        code, out, _ = run(capsys, "info", "--wordnet", wordnet_dir(tmp_path, data=data))
+        assert code == 0
+        lines = out.splitlines()
+        assert "synsets 4" in lines
+        for line in ("edges 3", "multi_parent 0", "core_nodes 1"):
+            assert line in lines
+
     def test_missing_source_is_flag_error(self, capsys, monkeypatch):
         monkeypatch.delenv("WORDNET_DIR", raising=False)
         code, _, err = run(capsys, "info")
@@ -325,7 +337,8 @@ class TestBadInput:
          "index lemma 'ghost' references unknown synset 99999999"),
         ("nothing n 0 0 0 0", "malformed index.noun record: synset_cnt must be >= 1"),
         ("thing n 1 0 1 0 00000001", "duplicate lemma 'thing'"),
-    ], ids=["unknown_offset", "zero_senses", "duplicate_lemma"])
+        ("nothing n 1 -1 0 00000002", "malformed index.noun record: p_cnt must be >= 0"),
+    ], ids=["unknown_offset", "zero_senses", "duplicate_lemma", "negative_p_cnt"])
     def test_bad_index_noun_record_exits_one(self, capsys, tmp_path, record, message,
                                              argv):
         index = INDEX_NOUN + record + "\n"

@@ -39,12 +39,33 @@ def test_unused_import_check_finds_one():
     assert unused_imports(tree) == [(1, "os"), (3, "d")]
 
 
-@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
-                                  if p.name != "__init__.py"]
-                         + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert unused_imports(tree) == []
+
+
+def line_prefixed_fstrings(tree):
+    """Line numbers of the f-strings in tree that start with ``line {``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.JoinedStr) and len(node.values) > 1
+            and isinstance(node.values[0], ast.Constant)
+            and node.values[0].value == "line "
+            and isinstance(node.values[1], ast.FormattedValue)]
+
+
+def test_line_prefix_check_finds_one():
+    tree = ast.parse('a = f"line {n}: x"\nb = f"(line {n})"\nc = f"line count {n}"\n')
+    assert line_prefixed_fstrings(tree) == [1]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "errors.py"], ids=lambda p: p.name)
+def test_line_numbers_reach_messages_through_errors(path):
+    # errors.TaxonomyError writes the "line N: " prefix from line_number=
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert line_prefixed_fstrings(tree) == []
 
 
 def test_measure_ic_models_are_known():

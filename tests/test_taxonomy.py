@@ -288,6 +288,9 @@ class TestArrayBuild:
         for a in t.ids():
             for b in t.ids():
                 assert t.shortest_path_edges(a, b) == oracle_undirected_bfs(t, a, b)
+        # the records keep what they list; a link listed twice counts once
+        assert t.synsets["B"].hypernyms == ("A", "R", "A")
+        assert (t.edge_count, t.multi_parent_count, t.core_count) == (4, 1, 3)
 
 
 class TestValidation:

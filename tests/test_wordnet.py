@@ -141,6 +141,8 @@ class TestLoadWordnet:
         "00000002 03 n 01 thing 0 002 @ 00000001 n 0000 ~ 00000001 | short",
         # w_cnt 0x0a, five lemma pairs present
         "00000002 03 n 0a a 0 b 0 c 0 d 0 e 0 000 | short",
+        # p_cnt below 0
+        "00000002 03 n 01 thing 0 -01 @ 00000001 n 0000 | negative",
     ])
     def test_truncated_record_reports_line(self, tmp_path, record):
         (tmp_path / "data.noun").write_text(
@@ -237,6 +239,11 @@ class TestTsvTaxonomy:
         with pytest.raises(StructureError):
             load_tsv_taxonomy(io.StringIO("A\tR1\nB\tR2\n"))
 
+    def test_binding_target_stripped(self):
+        # " A " names node A, on an edge line and as a binding's target
+        _, index = load_tsv_taxonomy(io.StringIO(" A \tR\nz\t#\t A \n"))
+        assert index.senses("z") == ["A"]
+
     def test_blank_and_comment_lines_skipped(self):
         text = "# T7\n\n" + T7_TSV.replace("C\tA\n", "C\tA\n   \n# bindings\n")
         t, index = load_tsv_taxonomy(io.StringIO(text))
@@ -281,6 +288,21 @@ def test_tsv_loaders_share_the_row_rule(load, row, message):
     # a comment, a blank and a whitespace-only line are skipped but counted
     with pytest.raises(ParseError) as exc:
         load(io.StringIO("# comment\n\n \t \n" + row + "\n"))
+    assert exc.value.line_number == 4
+    assert str(exc.value) == f"line 4: {message}"
+
+
+@pytest.mark.parametrize("parse, record, message", [
+    (parse_data_noun, "00000002 03 n 01 thing 0 001 | @ 00000001 n 0000",
+     "malformed data.noun record: record needs 11 fields, has 7"),
+    (lambda stream: parse_index_noun(stream, DATA_TAXONOMY), "alpha n 1 0 1 0 | 00000002",
+     "lemma 'alpha': synset_cnt 1 but 0 trailing offsets"),
+], ids=["data", "index"])
+def test_wordnet_parsers_share_the_record_rule(parse, record, message):
+    # a header, a blank and a whitespace-only line are skipped but counted,
+    # and the words after "|" are not fields
+    with pytest.raises(ParseError) as exc:
+        parse(io.StringIO("  1 header\n\n \t \n" + record + "\n"))
     assert exc.value.line_number == 4
     assert str(exc.value) == f"line 4: {message}"
 
