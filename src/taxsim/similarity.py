@@ -20,125 +20,160 @@ class Score:
     value: float
 
 
-def _ic_values(ic):
+def _ic_values(taxonomy, ic):
+    """The values of the IC table an IC-based measure reads."""
     if ic is None:
         raise InvalidCombinationError("this measure requires an IC table")
     return ic.values()
 
 
-def _indices(taxonomy, c1, c2):
-    """Node indices of c1 and c2, smaller first, and of their lcs."""
-    i, j = taxonomy._pair(c1, c2)
-    return i, j, taxonomy._lcs(i, j)
-
-
-def sim_resnik(taxonomy, ic, c1, c2):
-    """IC of the lowest common subsumer."""
-    values = _ic_values(ic)
-    _, _, k = _indices(taxonomy, c1, c2)
-    return Score(values[k])
-
-
-def _jcn(values, i, j, k):
-    """Jiang-Conrath distance from IC values and node indices."""
-    return max(values[i] + values[j] - 2.0 * values[k], 0.0)
-
-
-def dist_jcn(taxonomy, ic, c1, c2):
-    """Jiang-Conrath distance: IC(c1) + IC(c2) - 2 IC(lcs)."""
-    values = _ic_values(ic)
-    return Score(_jcn(values, *_indices(taxonomy, c1, c2)))
-
-
-def sim_jcn_norm(taxonomy, ic, c1, c2):
-    """Jiang-Conrath distance linearly mapped to [0, 1]; needs IC in [0, 1]."""
-    values = _ic_values(ic)
+def _normalized_ic_values(taxonomy, ic):
+    values = _ic_values(taxonomy, ic)
     if not ic.normalized:
         raise InvalidCombinationError(
             f"jcn_norm needs a normalized IC table, got model {ic.model!r}")
-    return Score(1.0 - _jcn(values, *_indices(taxonomy, c1, c2)) / 2.0)
+    return values
 
 
-def sim_lin(taxonomy, ic, c1, c2):
+def _no_values(taxonomy, ic):
+    """Path measures read no table, and ignore one passed in."""
+    return None
+
+
+def _new_values(taxonomy, ic):
+    if taxonomy.max_subsumer_count < 2:
+        raise UnusableModelError("sim_new needs a taxonomy with max subsumer count >= 2")
+    return None
+
+
+# Each formula takes the taxonomy, the values its measure reads and two node
+# indices i <= j, and returns a float.
+
+
+def _resnik(taxonomy, values, i, j):
+    """IC of the lowest common subsumer."""
+    return values[taxonomy._lcs(i, j)]
+
+
+def _jcn(taxonomy, values, i, j):
+    """Jiang-Conrath distance: IC(c1) + IC(c2) - 2 IC(lcs)."""
+    return max(values[i] + values[j] - 2.0 * values[taxonomy._lcs(i, j)], 0.0)
+
+
+def _jcn_norm(taxonomy, values, i, j):
+    """Jiang-Conrath distance linearly mapped to [0, 1]; needs IC in [0, 1]."""
+    return 1.0 - _jcn(taxonomy, values, i, j) / 2.0
+
+
+def _lin(taxonomy, values, i, j):
     """2 IC(lcs) / (IC(c1) + IC(c2)); 0 when both ICs are 0."""
-    values = _ic_values(ic)
-    i, j, k = _indices(taxonomy, c1, c2)
     denom = values[i] + values[j]
     if denom == 0.0:
-        return Score(0.0)
-    return Score(2.0 * values[k] / denom)
+        return 0.0
+    return 2.0 * values[taxonomy._lcs(i, j)] / denom
 
 
-def dist_rada(taxonomy, c1, c2):
+def _rada(taxonomy, values, i, j):
     """Edge count of the shortest undirected hypernym path."""
-    return Score(float(taxonomy.shortest_path_edges(c1, c2)))
+    return float(taxonomy._path(i, j))
 
 
-def sim_wup(taxonomy, c1, c2):
+def _wup(taxonomy, values, i, j):
     """Wu-Palmer: 2 d / (len + 2 d) with d the node-count depth of the lcs."""
-    _, _, k = _indices(taxonomy, c1, c2)
-    d = taxonomy._depth[k]
-    length = taxonomy.shortest_path_edges(c1, c2)
-    return Score(2.0 * d / (length + 2.0 * d))
+    d = taxonomy._depth[taxonomy._lcs(i, j)]
+    return 2.0 * d / (taxonomy._path(i, j) + 2.0 * d)
 
 
-def sim_lch(taxonomy, c1, c2):
+def _lch(taxonomy, values, i, j):
     """Leacock-Chodorow: -ln(path node count / (2 * max taxonomy depth))."""
-    len_nodes = taxonomy.shortest_path_edges(c1, c2) + 1
-    return Score(-math.log(len_nodes / (2.0 * taxonomy.max_depth)))
+    return -math.log((taxonomy._path(i, j) + 1) / (2.0 * taxonomy.max_depth))
 
 
-def sim_new(taxonomy, c1, c2):
+def _new(taxonomy, values, i, j):
     """Comprehensive measure on the subsumer-count IC.
 
     value = ln(2 ln M / D) with M the maximum subsumer count in the
     taxonomy and D = ln s1 + ln s2 - 2 ln s_lcs floored at
     eps = ln((M+1)/M) so identical pairs get the maximal finite score.
+    Both constants are frozen when the taxonomy is built.
     """
-    m = taxonomy.max_subsumer_count
-    if m < 2:
-        raise UnusableModelError("sim_new needs a taxonomy with max subsumer count >= 2")
-    eps = math.log((m + 1) / m)
-    i, j, k = _indices(taxonomy, c1, c2)
     subsumers = taxonomy._subsumers
-    d = math.log(subsumers[i]) + math.log(subsumers[j]) - 2.0 * math.log(subsumers[k])
-    d = max(d, eps)
-    return Score(math.log(2.0 * math.log(m) / d))
+    d = (math.log(subsumers[i]) + math.log(subsumers[j])
+         - 2.0 * math.log(subsumers[taxonomy._lcs(i, j)]))
+    return math.log(taxonomy._new_scale / max(d, taxonomy._new_floor))
 
 
 class Measure:
-    """A named measure: its kind (similarity or distance) and the IC model
-    whose table it reads by default, or None if it reads no table."""
+    """A named measure: its kind (similarity or distance), the IC model
+    whose table it reads by default (None if it reads no table), its
+    formula over node indices and the check that yields the values the
+    formula reads."""
 
-    __slots__ = ("name", "kind", "ic_model", "_func")
+    __slots__ = ("name", "kind", "ic_model", "score", "values")
 
-    def __init__(self, name, kind, ic_model, func):
+    def __init__(self, name, kind, ic_model, score, values):
         self.name = name
         self.kind = kind
         self.ic_model = ic_model
-        self._func = func
+        self.score = score
+        self.values = values
 
     def __call__(self, taxonomy, c1, c2, ic=None):
-        if self.ic_model:
-            return self._func(taxonomy, ic, c1, c2)
-        return self._func(taxonomy, c1, c2)
+        """Score of one sense pair given by synset ids."""
+        values = self.values(taxonomy, ic)
+        return Score(self.score(taxonomy, values, *taxonomy._pair(c1, c2)))
 
 
 MEASURES = {
     m.name: m
     for m in (
-        Measure("resnik", SIMILARITY, "hybrid", sim_resnik),
-        Measure("jcn_dist", DISTANCE, "hybrid", dist_jcn),
+        Measure("resnik", SIMILARITY, "hybrid", _resnik, _ic_values),
+        Measure("jcn_dist", DISTANCE, "hybrid", _jcn, _ic_values),
         # the linear map to [0, 1] needs IC in [0, 1]: seco is the one
         # normalized model
-        Measure("jcn_norm", SIMILARITY, "seco", sim_jcn_norm),
-        Measure("lin", SIMILARITY, "hybrid", sim_lin),
-        Measure("rada_dist", DISTANCE, None, dist_rada),
-        Measure("wup", SIMILARITY, None, sim_wup),
-        Measure("lch", SIMILARITY, None, sim_lch),
-        Measure("new", SIMILARITY, None, sim_new),
+        Measure("jcn_norm", SIMILARITY, "seco", _jcn_norm, _normalized_ic_values),
+        Measure("lin", SIMILARITY, "hybrid", _lin, _ic_values),
+        Measure("rada_dist", DISTANCE, None, _rada, _no_values),
+        Measure("wup", SIMILARITY, None, _wup, _no_values),
+        Measure("lch", SIMILARITY, None, _lch, _no_values),
+        Measure("new", SIMILARITY, None, _new, _new_values),
     )
 }
+
+
+# the measures on one pair of synset ids
+
+
+def sim_resnik(taxonomy, ic, c1, c2):
+    return MEASURES["resnik"](taxonomy, c1, c2, ic=ic)
+
+
+def dist_jcn(taxonomy, ic, c1, c2):
+    return MEASURES["jcn_dist"](taxonomy, c1, c2, ic=ic)
+
+
+def sim_jcn_norm(taxonomy, ic, c1, c2):
+    return MEASURES["jcn_norm"](taxonomy, c1, c2, ic=ic)
+
+
+def sim_lin(taxonomy, ic, c1, c2):
+    return MEASURES["lin"](taxonomy, c1, c2, ic=ic)
+
+
+def dist_rada(taxonomy, c1, c2):
+    return MEASURES["rada_dist"](taxonomy, c1, c2)
+
+
+def sim_wup(taxonomy, c1, c2):
+    return MEASURES["wup"](taxonomy, c1, c2)
+
+
+def sim_lch(taxonomy, c1, c2):
+    return MEASURES["lch"](taxonomy, c1, c2)
+
+
+def sim_new(taxonomy, c1, c2):
+    return MEASURES["new"](taxonomy, c1, c2)
 
 
 def get_measure(name):
@@ -155,21 +190,29 @@ def best_sense_pair(taxonomy, index, measure, w1, w2, ic=None):
     Returns (score, sense1, sense2). Similarities take the maximum,
     distances the minimum, so "best" always means "most similar"; on a tie
     the first pair in sense order wins. Raises OutOfVocabularyError for
-    unknown lemmas.
+    unknown lemmas, before the measure's own checks. Each word is looked up
+    once and the measure's formula runs on node indices.
     """
     if isinstance(measure, str):
         measure = get_measure(measure)
-    senses1 = index.senses(w1)
-    senses2 = index.senses(w2)
+    nodes1, nodes2 = index.nodes(w1), index.nodes(w2)
+    values = measure.values(taxonomy, ic)
+    if index.taxonomy is not taxonomy:
+        # an index over another load: its node indices name its own
+        # taxonomy's synsets, which may sit elsewhere here or be missing
+        ids = index.taxonomy._ids
+        nodes1, nodes2 = ([taxonomy._index(ids[i]) for i in nodes]
+                          for nodes in (nodes1, nodes2))
+    score = measure.score
     lower_is_better = measure.kind == DISTANCE
     best = None
-    for c1 in senses1:
-        for c2 in senses2:
-            s = measure(taxonomy, c1, c2, ic=ic)
-            if best is None or (s.value < best.value if lower_is_better
-                                else s.value > best.value):
-                best, pair = s, (c1, c2)
-    return (best, *pair)
+    for i in nodes1:
+        for j in nodes2:
+            v = score(taxonomy, values, i, j) if i <= j else score(taxonomy, values, j, i)
+            if best is None or (v < best if lower_is_better else v > best):
+                best, b1, b2 = v, i, j
+    ids = taxonomy._ids
+    return Score(best), ids[b1], ids[b2]
 
 
 def word_similarity(taxonomy, index, measure, w1, w2, ic=None):

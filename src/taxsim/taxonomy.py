@@ -14,6 +14,7 @@ loaded taxonomy is still safe to share across threads.
 """
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -158,6 +159,11 @@ class Taxonomy:
         self._anc_indices = _view(rows[_ranges(row_start, row_len)])
         self._subsumers = _view(row_len)
         self.max_subsumer_count = int(row_len.max())
+        # the measure ``new`` floors its distance at ln((M+1)/M) and scales
+        # it by 2 ln M, M the maximum subsumer count: both frozen here
+        m = self.max_subsumer_count
+        self._new_floor = math.log((m + 1) / m)
+        self._new_scale = 2.0 * math.log(m)
         # hyponym_count(c): distinct transitive descendants, excluding c
         self._hyponyms = np.bincount(self._anc_indices, minlength=n) - 1
         self._is_leaf = self._hyponyms == 0

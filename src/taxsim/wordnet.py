@@ -16,17 +16,24 @@ _HYPERNYM_SYMBOLS = {"@", "@i"}
 
 @dataclass(frozen=True)
 class LemmaIndex:
-    """Map from lowercase lemma to its synset ids in sense order."""
+    """Map from lowercase lemma to the node indices of its synsets in
+    taxonomy, a tuple in sense order."""
 
+    taxonomy: Taxonomy
     entries: dict
 
-    def senses(self, lemma):
-        """Synset ids for a lemma; raises OutOfVocabularyError if absent."""
-        key = normalize_lemma(lemma)
+    def nodes(self, lemma):
+        """Node indices for a lemma; raises OutOfVocabularyError if absent."""
         try:
-            return list(self.entries[key])
+            return self.entries[normalize_lemma(lemma)]
         except KeyError:
             raise OutOfVocabularyError(lemma) from None
+
+    def senses(self, lemma):
+        """Synset ids for a lemma, as a new list; raises
+        OutOfVocabularyError if absent."""
+        ids = self.taxonomy._ids
+        return [ids[i] for i in self.nodes(lemma)]
 
     def __contains__(self, lemma):
         return normalize_lemma(lemma) in self.entries
@@ -74,6 +81,8 @@ def parse_data_noun(stream):
     synsets = []
     for lineno, fields in wordnet_records(stream):
         try:
+            if fields[2] != "n":
+                raise ValueError(f"ss_type must be 'n', got {fields[2]!r}")
             w_cnt = _count(fields[3], "w_cnt", 1, 16)
             p_pos = 4 + 2 * w_cnt
             end = p_pos + 1 + 4 * _count(fields[p_pos], "p_cnt", 0)
@@ -91,15 +100,25 @@ def parse_data_noun(stream):
 
 def parse_index_noun(stream, taxonomy):
     """Parse a WordNet 3.0 ``index.noun`` stream into a LemmaIndex over
-    taxonomy. A lemma with no sense, a lemma seen before, or an offset that
-    is not a synset of taxonomy raises at its line."""
+    taxonomy.
+
+    Each record is ``lemma pos synset_cnt p_cnt (ptr_symbol)* sense_cnt
+    tagsense_cnt (synset_offset)*``. A pos other than ``n``, a bad count, a
+    lemma with no sense, a lemma seen before, or an offset that is not a
+    synset of taxonomy raises at its line.
+    """
     known = taxonomy._pos
     entries = {}
     for lineno, fields in wordnet_records(stream):
         try:
             lemma = fields[0].lower()
+            if fields[1] != "n":
+                raise ValueError(f"pos must be 'n', got {fields[1]!r}")
             synset_cnt = _count(fields[2], "synset_cnt", 1)
-            offsets = fields[4 + _count(fields[3], "p_cnt", 0) + 2 :]
+            s_pos = 4 + _count(fields[3], "p_cnt", 0)
+            _count(fields[s_pos], "sense_cnt", 0)
+            _count(fields[s_pos + 1], "tagsense_cnt", 0)
+            offsets = fields[s_pos + 2 :]
         except (IndexError, ValueError) as exc:
             raise ParseError(f"malformed index.noun record: {exc}", lineno) from None
         if len(offsets) != synset_cnt:
@@ -108,12 +127,12 @@ def parse_index_noun(stream, taxonomy):
                 f"{len(offsets)} trailing offsets", lineno)
         if lemma in entries:
             raise ParseError(f"duplicate lemma {lemma!r}", lineno)
-        for off in offsets:
-            if off not in known:
-                raise IntegrityError(
-                    f"index lemma {lemma!r} references unknown synset {off}", lineno)
-        entries[lemma] = offsets
-    return LemmaIndex(entries)
+        try:
+            entries[lemma] = tuple([known[off] for off in offsets])
+        except KeyError as exc:
+            raise IntegrityError(f"index lemma {lemma!r} references unknown synset "
+                                 f"{exc.args[0]}", lineno) from None
+    return LemmaIndex(taxonomy, entries)
 
 
 def load_wordnet(directory):
@@ -175,7 +194,9 @@ def load_tsv_taxonomy(stream):
         senses = entries.setdefault(normalize_lemma(lemma), [])
         if target not in senses:
             senses.append(target)
-    return taxonomy, LemmaIndex(entries)
+    pos = taxonomy._pos
+    return taxonomy, LemmaIndex(taxonomy, {lemma: tuple([pos[sid] for sid in senses])
+                                           for lemma, senses in entries.items()})
 
 
 def load_frequencies(stream):

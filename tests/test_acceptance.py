@@ -24,7 +24,7 @@ from conftest import (
     wordnet_dir,
 )
 from test_kernels import wordnet_shaped_dag
-from test_wordnet import render
+from test_wordnet import render_taxonomy
 
 
 @pytest.fixture(scope="module")
@@ -44,11 +44,8 @@ def shaped(tmp_path_factory):
     index.noun and loaded back the way `wn` loads WordNet: the DAG, the
     loaded taxonomy and its load time."""
     dag = wordnet_shaped_dag(random.Random(127), 4000, multi_share=0.03)
-    pos = {sid: k for k, sid in enumerate(dag.ids())}
-    nodes = [{"id": sid, "lemmas": s.lemmas, "decoys": [], "gloss": "a node | b",
-              "links": [(pos[h], "@") for h in s.hypernyms]}
-             for sid, s in dag.synsets.items()]
-    data, index = render(nodes, {s.lemmas[0]: [sid] for sid, s in dag.synsets.items()})
+    data, index = render_taxonomy(
+        dag, {s.lemmas[0]: [sid] for sid, s in dag.synsets.items()})
     directory = tmp_path_factory.mktemp("wordnet_shaped")
     (directory / "data.noun").write_text(data, encoding="utf-8")
     (directory / "index.noun").write_text(index, encoding="utf-8")

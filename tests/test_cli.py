@@ -316,6 +316,12 @@ class TestBadInput:
         assert out == ""
         assert "line 4:" in err
 
+    def test_data_noun_verb_record_exits_one(self, capsys, tmp_path):
+        data = DATA_NOUN + "00000003 03 v 01 run 0 001 @ 00000001 n 0000 | a verb\n"
+        code, out, err = run(capsys, "info", "--wordnet", wordnet_dir(tmp_path, data=data))
+        assert (code, out, err) == (
+            1, "", "taxsim: line 4: malformed data.noun record: ss_type must be 'n', got 'v'\n")
+
     def test_data_noun_self_hypernym_exits_one(self, capsys, tmp_path):
         data = DATA_NOUN + "00000003 03 n 01 loop 0 001 @ 00000003 n 0000 | its own kind\n"
         code, out, err = run(capsys, "info", "--wordnet", wordnet_dir(tmp_path, data=data))
@@ -338,7 +344,13 @@ class TestBadInput:
         ("nothing n 0 0 0 0", "malformed index.noun record: synset_cnt must be >= 1"),
         ("thing n 1 0 1 0 00000001", "duplicate lemma 'thing'"),
         ("nothing n 1 -1 0 00000002", "malformed index.noun record: p_cnt must be >= 0"),
-    ], ids=["unknown_offset", "zero_senses", "duplicate_lemma", "negative_p_cnt"])
+        ("nothing v 1 0 1 0 00000002", "malformed index.noun record: pos must be 'n', got 'v'"),
+        ("nothing n 1 1 @ x y 00000002",
+         "malformed index.noun record: invalid literal for int() with base 10: 'x'"),
+        ("nothing n 1 0 1 -1 00000002",
+         "malformed index.noun record: tagsense_cnt must be >= 0"),
+    ], ids=["unknown_offset", "zero_senses", "duplicate_lemma", "negative_p_cnt", "verb_pos",
+            "bad_sense_cnt", "negative_tagsense_cnt"])
     def test_bad_index_noun_record_exits_one(self, capsys, tmp_path, record, message,
                                              argv):
         index = INDEX_NOUN + record + "\n"

@@ -1,3 +1,4 @@
+import io
 import math
 import random
 
@@ -27,9 +28,11 @@ from taxsim.similarity import (
     word_similarity,
 )
 from taxsim.taxonomy import Synset, Taxonomy
-from taxsim.wordnet import FrequencyTable
+from taxsim.wordnet import FrequencyTable, load_tsv_taxonomy, load_wordnet
 
-from conftest import random_dag
+from conftest import T7_TSV, random_dag
+from test_kernels import wordnet_shaped_dag
+from test_wordnet import render_taxonomy
 
 LN = math.log
 
@@ -229,6 +232,103 @@ class TestWordSimilarity:
         score, c1, c2 = best_sense_pair(t7, t7_index, name, "x", "x")
         assert score == get_measure(name)(t7, "D", "D")
         assert (c1, c2) == ("E", "E")
+
+
+def brute_force_best(taxonomy, index, measure, w1, w2, ic):
+    """best_sense_pair's answer from the id-level measure over every sense
+    pair: the maximum (minimum for a distance), the first pair in sense
+    order on a tie."""
+    best = None
+    for c1 in index.senses(w1):
+        for c2 in index.senses(w2):
+            s = measure(taxonomy, c1, c2, ic=ic)
+            if best is None or (s.value < best[0].value if measure.kind == DISTANCE
+                                else s.value > best[0].value):
+                best = (s, c1, c2)
+    return best
+
+
+def assert_matches_brute_force(taxonomy, index):
+    """Score and winning pair of every word pair of index, all 8 measures."""
+    for measure in MEASURES.values():
+        ic = make_table(taxonomy, measure.ic_model) if measure.ic_model else None
+        for w1 in index.entries:
+            for w2 in index.entries:
+                assert best_sense_pair(taxonomy, index, measure, w1, w2, ic=ic) == \
+                    brute_force_best(taxonomy, index, measure, w1, w2, ic), \
+                    (measure.name, w1, w2)
+
+
+@pytest.fixture(scope="module")
+def shaped_dictionary(tmp_path_factory):
+    """C4 and C7's 4,000-node WordNet-shaped data.noun with an index.noun of
+    60 lemmas of 1 to 3 senses, where a second sense is the first one's
+    hypernym when it has one, loaded back."""
+    dag = wordnet_shaped_dag(random.Random(127), 4000, multi_share=0.03)
+    rng = random.Random(131)
+    ids = dag.ids()
+    senses = {}
+    for k in range(60):
+        sids = rng.sample(ids, rng.randint(1, 3))
+        hypernyms = dag.synsets[sids[0]].hypernyms
+        if len(sids) > 1 and hypernyms and hypernyms[0] not in sids:
+            sids[1] = hypernyms[0]
+        senses[f"w{k:02d}"] = sids
+    data, index = render_taxonomy(dag, senses)
+    directory = tmp_path_factory.mktemp("shaped_polysemous")
+    (directory / "data.noun").write_text(data, encoding="utf-8")
+    (directory / "index.noun").write_text(index, encoding="utf-8")
+    return load_wordnet(str(directory))
+
+
+class TestBestSensePair:
+    """best_sense_pair against a loop over the id-level measures."""
+
+    def test_t7_matches_brute_force(self, t7_both):
+        assert_matches_brute_force(*t7_both)
+
+    def test_t7_index_from_another_load_matches_brute_force(self, t7, t7_index):
+        assert t7_index.taxonomy is not t7
+        assert_matches_brute_force(t7, t7_index)
+
+    def test_wordnet_shaped_matches_brute_force(self, shaped_dictionary):
+        assert_matches_brute_force(*shaped_dictionary)
+
+    def test_index_over_renumbered_load(self, t7_both):
+        # the same taxonomy with its nodes in another order: the index's
+        # node indices are mapped by id
+        t7, index = t7_both
+        lines = T7_TSV.splitlines(keepends=True)
+        renumbered, _ = load_tsv_taxonomy(io.StringIO("".join(reversed(lines))))
+        assert renumbered.ids() != t7.ids()
+        for measure in MEASURES.values():
+            ic = make_table(renumbered, measure.ic_model) if measure.ic_model else None
+            assert best_sense_pair(renumbered, index, measure, "x", "y", ic=ic) == \
+                brute_force_best(renumbered, index, measure, "x", "y", ic)
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_taxonomy_without_a_sense_raises(self, t7_index, name):
+        # T7 without E, which "x" binds first
+        lines = [line for line in T7_TSV.splitlines(keepends=True) if "E" not in line]
+        other, _ = load_tsv_taxonomy(io.StringIO("".join(lines)))
+        ic = make_table(other, MEASURES[name].ic_model) if MEASURES[name].ic_model else None
+        with pytest.raises(UnknownSynsetError) as exc:
+            best_sense_pair(other, t7_index, name, "x", "y", ic=ic)
+        assert str(exc.value) == "unknown synset id: 'E'"
+
+    @pytest.mark.parametrize("words", [("zzz", "y"), ("y", "zzz")])
+    def test_oov_raises_before_missing_ic(self, t7_both, words):
+        with pytest.raises(OutOfVocabularyError, match="zzz"):
+            best_sense_pair(*t7_both, "lin", *words)
+
+    def test_senses_list_is_a_copy(self, t7_both):
+        t7, index = t7_both
+        before = best_sense_pair(t7, index, "wup", "x", "y")
+        senses = index.senses("x")
+        senses.reverse()
+        senses.append("R")
+        assert index.senses("x") == ["E", "D"]
+        assert best_sense_pair(t7, index, "wup", "x", "y") == before
 
 
 class TestScalarContracts:

@@ -108,7 +108,12 @@ class TestParseIndexNoun:
         ("alpha n 0 0 0 0\nghost n 1 0 1 0 99999999\n", ParseError, 1),
         ("ghost n 1 0 1 0 99999999\nalpha n 0 0 0 0\n", IntegrityError, 1),
         ("beta n 1 0 1 0 00000003\nbeta n 1 0 1 0 00000001\n", ParseError, 2),
-    ], ids=["zero_senses_first", "unknown_offset_first", "duplicate_lemma"])
+        # a pos other than n, then bad sense_cnt and tagsense_cnt fields
+        ("alpha v 1 0 1 0 00000002\nghost n 1 0 1 0 99999999\n", ParseError, 1),
+        ("alpha n 1 1 @ x 0 00000002\nghost n 1 0 1 0 99999999\n", ParseError, 1),
+        ("alpha n 1 0 1 -1 00000002\nghost n 1 0 1 0 99999999\n", ParseError, 1),
+    ], ids=["zero_senses_first", "unknown_offset_first", "duplicate_lemma", "verb_pos_first",
+            "bad_sense_cnt_first", "negative_tagsense_cnt_first"])
     def test_first_bad_line_wins(self, text, error, line):
         with pytest.raises(error, match=f"^line {line}: "):
             parse_index_noun(io.StringIO(text), DATA_TAXONOMY)
@@ -143,6 +148,8 @@ class TestLoadWordnet:
         "00000002 03 n 0a a 0 b 0 c 0 d 0 e 0 000 | short",
         # p_cnt below 0
         "00000002 03 n 01 thing 0 -01 @ 00000001 n 0000 | negative",
+        # a verb record: ss_type v
+        "00000002 03 v 01 thing 0 001 @ 00000001 n 0000 | a verb",
     ])
     def test_truncated_record_reports_line(self, tmp_path, record):
         (tmp_path / "data.noun").write_text(
@@ -195,6 +202,16 @@ def render(nodes, senses):
     return "\n".join(data) + "\n", "\n".join(index) + "\n"
 
 
+def render_taxonomy(taxonomy, senses):
+    """data.noun and index.noun text for the synsets of a Taxonomy, all
+    links as ``@``, and a lemma -> ordered synset ids map."""
+    pos = {sid: k for k, sid in enumerate(taxonomy.ids())}
+    nodes = [{"id": sid, "lemmas": s.lemmas, "decoys": [], "gloss": "a node | b",
+              "links": [(pos[h], "@") for h in s.hypernyms]}
+             for sid, s in taxonomy.synsets.items()]
+    return render(nodes, senses)
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(nodes=dictionaries(), data=st.data())
@@ -214,7 +231,11 @@ def test_data_and_index_round_trip(tmp_path, nodes, data):
         synset = taxonomy.synsets[node["id"]]
         assert synset.hypernyms == tuple(nodes[p]["id"] for p, _ in node["links"])
         assert synset.lemmas == tuple(w.lower() for w in node["lemmas"])
-    assert index.entries == senses
+    assert index.entries.keys() == senses.keys()
+    for w, sids in senses.items():
+        assert index.senses(w) == sids
+    for nodes in index.entries.values():
+        assert type(nodes) is tuple and all(type(i) is int for i in nodes)
 
 
 class TestTsvTaxonomy:
