@@ -86,6 +86,7 @@ def cmd_info(args):
     print(f"leaves {taxonomy.leaf_count}")
     print(f"max_fanout {taxonomy.max_fanout}")
     print(f"core_nodes {taxonomy.core_count}")
+    print(f"branch_nodes {taxonomy.branch_count}")
     print(f"root {taxonomy.root} ({root.lemmas[0]})")
     return 0
 

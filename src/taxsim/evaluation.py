@@ -99,20 +99,35 @@ def pearson(x, y):
         raise UndefinedCorrelationError("pearson needs at least two points")
     if not all(map(math.isfinite, x)) or not all(map(math.isfinite, y)):
         raise UndefinedCorrelationError("non-finite input value")
-    # centre on the first point before taking the means: the differences
-    # are exact for values within a factor of two of it, so a spread of a
-    # few ulps is not lost to the rounding of a mean
+    # scale each vector by a power of two to below 1 in magnitude, so that
+    # no difference, square or sum below overflows; the scaling is exact
+    # and r does not depend on it. Then centre on the first point before
+    # taking the means: the differences are exact for values within a
+    # factor of two of it, so a spread of a few ulps is not lost to the
+    # rounding of a mean
+    x = _scaled(x)
+    y = _scaled(y)
     x = [a - x[0] for a in x]
     y = [b - y[0] for b in y]
     mx = sum(x) / n
     my = sum(y) / n
     sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
-    sxx = sum((a - mx) ** 2 for a in x)
-    syy = sum((b - my) ** 2 for b in y)
+    sxx = sum((a - mx) * (a - mx) for a in x)
+    syy = sum((b - my) * (b - my) for b in y)
     if sxx == 0.0 or syy == 0.0:
         raise UndefinedCorrelationError("constant input vector")
     r = sxy / math.sqrt(sxx * syy)
+    # clamping would turn a NaN into 1.0, so a non-finite r is refused first
+    if not math.isfinite(r):
+        raise UndefinedCorrelationError("correlation is not finite")
     return max(-1.0, min(1.0, r))
+
+
+def _scaled(values):
+    """values times the power of two that brings the largest magnitude into
+    [0.5, 1)."""
+    _, exponent = math.frexp(max(map(abs, values)))
+    return [math.ldexp(v, -exponent) for v in values]
 
 
 def range_stat(x):

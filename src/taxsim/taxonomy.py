@@ -3,14 +3,16 @@
 A Taxonomy is built once from Synset records and frozen; all graph checks
 live in the build. It maps every distinct hypernym link to a pair of int
 node indices and fills all caches in one level-by-level pass. It then peels the
-undirected link graph down to its 2-core, so that the path search holds
-neighbour lists only for the core nodes and, per node, the node it hangs
+undirected link graph down to its 2-core, so that the path query holds
+neighbour rows only for the core nodes and, per node, the node it hangs
 from, its core anchor and its hop count to it. All queries (ancestors,
 depth, counts) are pure reads over those caches, the per-node ones through
 read-only memoryviews that index to Python numbers. Lowest common subsumers
-and shortest paths are searched on demand over them, each search memoised
-with ``functools.lru_cache`` over a pure function of node indices, so a
-loaded taxonomy is still safe to share across threads.
+are searched on demand over them, and shortest paths read a table of
+distances between the core's branch nodes (see ``kernels``) that is built
+on the first path query between two anchors, through ``functools.cache``.
+Each query is memoised with ``functools.lru_cache`` over a pure function of
+node indices, so a loaded taxonomy is still safe to share across threads.
 """
 
 import functools
@@ -206,19 +208,26 @@ class Taxonomy:
         for level in reversed(rounds):
             anchor[level] = anchor[up[level]]
             hang[level] = hang[up[level]] + 1
-        # core-to-core links, both ways, as neighbour lists by core number
+        # core-to-core links, both ways, as CSR neighbour rows by core number
         in_core = (up[ends] < 0) & (up[others] < 0)
         ends, others = anchor[ends[in_core]], anchor[others[in_core]]
-        order = np.argsort(ends, kind="stable")
-        flat = others[order].tolist()
-        bounds = np.cumsum(np.bincount(ends, minlength=len(core))).tolist()
-        neighbours = [flat[a:b] for a, b in zip([0] + bounds, bounds)]
+        core_degree = np.bincount(ends, minlength=len(core))
+        core_indptr = np.concatenate(([0], np.cumsum(core_degree)))
+        core_indices = others[np.argsort(ends, kind="stable")]
+        # the distance table covers the core's branch nodes; its B² entries
+        # are built on the first query between two anchors, so a run that
+        # asks none never pays for them. No two nodes are further apart
+        # than their two ways up to the root, 2 * max_depth - 2 links.
+        self.branch_count = int(np.count_nonzero(kernels.branch_mask(core_degree)))
+        tables = functools.cache(functools.partial(
+            kernels.branch_tables, _view(core_indptr), _view(core_indices),
+            2 * self.max_depth - 2))
         # wup, lch and rada_dist each ask for the same sense pairs, one
         # measure at a time, so a small memo answers the repeats. The
         # per-node arrays go in as views, which index to Python ints without
         # holding an int object per node.
         self._path = functools.lru_cache(maxsize=4096)(functools.partial(
-            kernels.bfs_distance, _view(up), _view(anchor), _view(hang), neighbours))
+            kernels.bfs_distance, _view(up), _view(anchor), _view(hang), tables))
 
         # every measure asks for the lcs of the same sense pairs, one
         # measure at a time; the memo is keyed (min(i, j), max(i, j)) and

@@ -92,6 +92,29 @@ def oracle_undirected_bfs(taxonomy, src, dst):
     return -1
 
 
+def oracle_core(taxonomy):
+    """The undirected link graph with every node but the root that has one
+    link removed, until none is left: core id -> set of core neighbour ids."""
+    links = {sid: set() for sid in taxonomy.synsets}
+    for sid, s in taxonomy.synsets.items():
+        for parent in s.hypernyms:
+            links[sid].add(parent)
+            links[parent].add(sid)
+    pendant = [sid for sid, ls in links.items() if len(ls) == 1 and sid != taxonomy.root]
+    while pendant:
+        sid = pendant.pop()
+        (other,) = links.pop(sid)
+        links[other].remove(sid)
+        if len(links[other]) == 1 and other != taxonomy.root:
+            pendant.append(other)
+    return links
+
+
+def oracle_branch_count(taxonomy):
+    """Core nodes whose core degree is not 2, or 1 when there are none."""
+    return sum(len(ls) != 2 for ls in oracle_core(taxonomy).values()) or 1
+
+
 def oracle_depth(taxonomy, node):
     """Node-count depth via BFS from the root over child edges."""
     return oracle_undirected_down_depth(taxonomy)[node]

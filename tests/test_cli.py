@@ -1,4 +1,5 @@
 import io
+import random
 
 import pytest
 
@@ -8,7 +9,9 @@ from taxsim.ic import ic_corpus
 from taxsim.similarity import MEASURES
 from taxsim.wordnet import load_frequencies, load_tsv_taxonomy
 
-from conftest import T7_TSV
+from conftest import T7_TSV, oracle_branch_count, oracle_core
+from test_kernels import wordnet_shaped_dag
+from test_wordnet import render_taxonomy
 
 # a root and one child in the WordNet 3.0 data.noun / index.noun layout
 DATA_NOUN = (
@@ -66,8 +69,21 @@ class TestInfo:
         assert code == 0
         lines = out.splitlines()
         for line in ("edges 6", "multi_parent 0", "leaves 4", "max_fanout 2",
-                     "core_nodes 1"):
+                     "core_nodes 1", "branch_nodes 1"):
             assert line in lines
+        assert lines.index("branch_nodes 1") == lines.index("core_nodes 1") + 1
+
+    def test_wordnet_shaped_core(self, capsys, tmp_path):
+        # C4/C7's 4,000-node WordNet-shaped dictionary: the core and its
+        # branch nodes as the brute-force peel counts them
+        dag = wordnet_shaped_dag(random.Random(127), 4000, multi_share=0.03)
+        data, index = render_taxonomy(dag, {s.lemmas[0]: [sid] for sid, s in dag.synsets.items()})
+        code, out, _ = run(capsys, "info", "--wordnet", wordnet_dir(tmp_path, data, index))
+        assert code == 0
+        cores, branches = len(oracle_core(dag)), oracle_branch_count(dag)
+        lines = out.splitlines()
+        assert f"core_nodes {cores}" in lines and f"branch_nodes {branches}" in lines
+        assert 1 < branches < cores
 
     def test_repeated_link_counts_once(self, capsys, tmp_path):
         # part lists thing twice, as @ and as @i: the counts of one link
@@ -277,6 +293,24 @@ class TestBench:
         assert code == 1
         assert out == ""
         assert "constant input vector" in err
+
+    @pytest.mark.parametrize("ratings, like", [
+        (("1e308", "-1e308", "0"), ("1", "-1", "0")),      # every r read 1.0000
+        (("1e200", "2e200", "3e200"), ("1", "2", "3")),    # OverflowError traceback
+    ])
+    def test_wide_range_ratings(self, capsys, t7_file, tmp_path, ratings, like):
+        ds = tmp_path / "wide.tsv"
+
+        def r_row(values):
+            pairs = (("e", "b"), ("c", "d"), ("e", "f"))
+            ds.write_text("".join(f"{w1}\t{w2}\t{v}\n" for (w1, w2), v in zip(pairs, values)),
+                          encoding="utf-8")
+            code, out, err = run(capsys, "bench", "--taxonomy-tsv", t7_file,
+                                 "--dataset", str(ds), "--measures", "all")
+            assert (code, err) == (0, "")
+            return out.splitlines()[-1]
+
+        assert r_row(ratings) == r_row(like)
 
     def test_csv_format(self, capsys, t7_file, mini_dataset):
         code, out, _ = run(capsys, "bench", "--taxonomy-tsv", t7_file,

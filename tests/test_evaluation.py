@@ -79,6 +79,29 @@ class TestPearson:
         y = [1.0, 1.0, 1.0 + 2.0 ** -51]
         assert pearson(x, y) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("x, like", [
+        # centring overflowed to a NaN, which the clamp turned into r = 1.0
+        ([1e308, -1e308, 0.0], [1.0, -1.0, 0.0]),
+        # squaring the differences raised OverflowError
+        ([1e200, 2e200, 3e200], [1.0, 2.0, 3.0]),
+    ])
+    def test_wide_range_input(self, x, like):
+        y = [0.5, 2.0, 1.5]
+        assert pearson(x, y) == pytest.approx(pearson(like, y), abs=1e-12)
+        assert pearson(y, x) == pytest.approx(pearson(y, like), abs=1e-12)
+        assert pearson(x, x) == pytest.approx(1.0, abs=1e-12)
+
+    def test_power_of_two_scaling_leaves_r_bit_identical(self):
+        rng = random.Random(57)
+        for _ in range(200):
+            n = rng.randint(2, 50)
+            x = [rng.uniform(-100, 100) for _ in range(n)]
+            y = [rng.uniform(-5, 5) for _ in range(n)]
+            r = pearson(x, y)
+            for k in (-900, -40, 40, 900):
+                assert pearson([math.ldexp(v, k) for v in x], y) == r
+                assert pearson(x, [math.ldexp(v, k) for v in y]) == r
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             pearson([1, 2], [1, 2, 3])

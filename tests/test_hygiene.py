@@ -79,11 +79,14 @@ def test_scoring_reads_frozen_views():
     # never written, and never copied into a list
     taxonomy, _ = load_tsv_taxonomy(io.StringIO(T7_TSV))
     *lcs_arrays, ids = taxonomy._lcs.__wrapped__.args
-    *path_arrays, neighbours = taxonomy._path.__wrapped__.args
+    *path_arrays, tables = taxonomy._path.__wrapped__.args
+    *core_arrays, longest = tables.__wrapped__.args
     assert ids is taxonomy._ids
-    assert isinstance(neighbours, list)
-    views = lcs_arrays + path_arrays + [ic.make_table(taxonomy, m).values()
-                                        for m in ("seco", "sanchez", "hybrid")]
+    assert longest == 2 * taxonomy.max_depth - 2
+    *branch_arrays, width = tables()
+    assert width == taxonomy.branch_count and len(branch_arrays[-1]) == width ** 2
+    views = (lcs_arrays + path_arrays + core_arrays + branch_arrays
+             + [ic.make_table(taxonomy, m).values() for m in ("seco", "sanchez", "hybrid")])
     for view in views:
         assert isinstance(view, memoryview) and view.readonly
 
@@ -132,9 +135,12 @@ def test_perfbench_interface(tmp_path, monkeypatch, capsys):
     # each message names the harness file that breaks without it
     t7, index = load_tsv_taxonomy(io.StringIO(T7_TSV))
     try:
-        importlib.import_module("taxsim.kernels")
+        kernels = importlib.import_module("taxsim.kernels")
     except ImportError:
         pytest.fail("run.py's environment probe and spans.py import taxsim.kernels")
+    assert callable(getattr(kernels, "bfs_distance", None)) and \
+        t7._path.__wrapped__.func is kernels.bfs_distance, \
+        "spans.py times the path query as kernels.bfs_distance (kernels.bfs_us)"
     for module, attr in [(wordnet, "parse_data_noun"), (wordnet, "parse_index_noun"),
                          (wordnet, "load_frequencies"), (wordnet, "load_wordnet"),
                          (similarity, "word_similarity"), (evaluation, "run_benchmark"),

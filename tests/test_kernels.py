@@ -6,7 +6,8 @@ import pytest
 
 from taxsim.taxonomy import Synset, Taxonomy
 
-from conftest import oracle_undirected_bfs, random_dag, random_tree
+from conftest import (oracle_branch_count, oracle_core, oracle_undirected_bfs, random_dag,
+                      random_tree)
 
 
 def taxonomy_of(edges, nodes=()):
@@ -49,11 +50,13 @@ def wordnet_shaped_dag(rng, n, multi_share=0.04):
 def peel(t):
     """The path search's peel as synset ids: anchor id and hang per id, and
     the core ids with their core neighbour ids."""
-    up, anchor, hang, neighbours = t._path.__wrapped__.args
+    up, anchor, hang, tables = t._path.__wrapped__.args
+    indptr, indices, _ = tables.__wrapped__.args
     ids = t.ids()
     core = [ids[u] for u in range(len(ids)) if up[u] < 0]
     return ({ids[u]: (core[anchor[u]], hang[u]) for u in range(len(ids))},
-            {core[k]: [core[v] for v in vs] for k, vs in enumerate(neighbours)})
+            {core[k]: [core[v] for v in indices[indptr[k] : indptr[k + 1]]]
+             for k in range(len(core))})
 
 
 class TestAgainstOracle:
@@ -215,7 +218,101 @@ class TestCorePeel:
                 assert hang == oracle_undirected_bfs(t, sid, anchor), sid
             for sid, links in core.items():
                 assert len(links) >= 2 or sid == t.root, sid
+            assert {sid: sorted(links) for sid, links in core.items()} == \
+                {sid: sorted(links) for sid, links in oracle_core(t).items()}
             assert t.core_count == len(core)
+            assert t.branch_count == oracle_branch_count(t)
+
+
+def chain(names):
+    """(child, parent) links that hang each name under the one before it."""
+    return list(zip(names[1:], names[:-1]))
+
+
+def table_builder(t):
+    """The memoised builder of the distance tables of t's core."""
+    return t._path.__wrapped__.args[-1]
+
+
+class TestBranchTable:
+    """Exactness on the chain shapes that random DAGs seldom produce."""
+
+    def test_chain_leaves_and_reenters_one_branch_node(self):
+        # R hangs above X; the loop X - P1 - P2 - P3 - M - Q - X leaves X
+        # and comes back to it, and L hangs under M
+        t = taxonomy_of([("X", "R")] + chain(["X", "P1", "P2", "P3", "M"])
+                        + chain(["X", "Q", "M"]) + [("L", "M")])
+        assert t.branch_count == 2   # R (one link) and X (three)
+        assert t.shortest_path_edges("P1", "Q") == 2   # round through X, not 4 along
+        assert t.shortest_path_edges("P2", "M") == 2
+        assert t.shortest_path_edges("L", "P1") == 4
+        assert_all_pairs_match_oracle(t)
+
+    def test_parallel_chains_of_different_lengths(self):
+        # three chains of 2, 3 and 5 links between R and M
+        t = taxonomy_of(chain(["R", "A", "M"]) + chain(["R", "B1", "B2", "M"])
+                        + chain(["R", "C1", "C2", "C3", "C4", "M"]))
+        assert t.branch_count == 2
+        assert t.shortest_path_edges("R", "M") == 2
+        assert t.shortest_path_edges("C3", "B2") == 3   # through M
+        assert t.shortest_path_edges("C2", "B1") == 3   # through R
+        assert_all_pairs_match_oracle(t)
+
+    def test_core_that_is_one_cycle(self):
+        # a diamond under the root, arms of 3 and 2 links, leaves below M:
+        # every core node has two links, so one of them stands as the
+        # table's only branch node
+        t = taxonomy_of(chain(["R", "A1", "A2", "M"]) + chain(["R", "B1", "M"])
+                        + [("L", "M"), ("K", "L")])
+        *_, dist, width = table_builder(t)()
+        assert (t.core_count, t.branch_count, width, list(dist)) == (5, 1, 1, [0])
+        assert t.shortest_path_edges("A1", "B1") == 2
+        assert t.shortest_path_edges("K", "A1") == 4
+        assert_all_pairs_match_oracle(t)
+
+    def test_way_round_a_chain_is_shorter(self):
+        # the chain R - C1 - ... - C7 - M is 8 links long; R and M are also
+        # 2 links apart through A and through B
+        t = taxonomy_of(chain(["R"] + [f"C{k}" for k in range(1, 8)] + ["M"])
+                        + chain(["R", "A", "M"]) + chain(["R", "B", "M"]))
+        assert t.branch_count == 2
+        assert t.shortest_path_edges("C1", "C7") == 4   # not 6 along the chain
+        assert t.shortest_path_edges("C2", "C6") == 4   # along it equals round it
+        assert t.shortest_path_edges("C3", "C5") == 2
+        assert_all_pairs_match_oracle(t)
+
+    def test_distances_beyond_one_byte(self):
+        # a deep diamond: chains of 300, 280 and 260 links from R down to M,
+        # so max_depth is 300 and the table needs 16-bit entries
+        arms = [["R"] + [f"{arm}{k}" for k in range(1, hops)] + ["M"]
+                for arm, hops in (("A", 300), ("B", 280), ("C", 260))]
+        t = taxonomy_of([link for arm in arms for link in chain(arm)] + [("L", "M")])
+        *_, dist, width = table_builder(t)()
+        assert (t.max_depth, width, dist.format) == (300, 2, "H")
+        assert sorted(dist) == [0, 0, 260, 260]
+        assert t.shortest_path_edges("R", "L") == 261
+        assert t.shortest_path_edges("A140", "B140") == 280   # through R
+        assert t.shortest_path_edges("A250", "B250") == 80    # through M
+        rng = random.Random(229)
+        ids = t.ids()
+        for a, b in [("A150", "C150"), ("A299", "B1")] + [
+                (rng.choice(ids), rng.choice(ids)) for _ in range(200)]:
+            assert t.shortest_path_edges(a, b) == oracle_undirected_bfs(t, a, b), (a, b)
+
+    def test_wordnet_shaped_table_is_one_byte(self):
+        t = wordnet_shaped_dag(random.Random(233), 400)
+        *_, dist, width = table_builder(t)()
+        assert dist.format == "B" and width == t.branch_count == oracle_branch_count(t)
+
+    def test_built_on_first_query_between_anchors(self):
+        # the core is the cycle R - A - M - B - R and X, Y, Z, W and P hang
+        # from M: queries among them and the lcs never reach the table
+        t = taxonomy_of([("A", "R"), ("B", "R"), ("M", "A"), ("M", "B"),
+                         ("X", "M"), ("Y", "X"), ("Z", "X"), ("W", "Z"), ("P", "M")])
+        assert t.shortest_path_edges("W", "P") == 4 and t.lcs("W", "A") == "A"
+        assert table_builder(t).cache_info().currsize == 0
+        assert t.shortest_path_edges("W", "R") == 5
+        assert table_builder(t).cache_info().currsize == 1
 
 
 class TestSymmetry:
@@ -236,16 +333,19 @@ class TestThreads:
     def test_concurrent_queries_share_the_memo(self):
         # more threads than cores, switching often, on more pairs than the
         # memos hold: every path and lcs must equal the uncached search's
+        # on a twin load, and the threads race to build the distance table
         rng = random.Random(97)
         t = random_dag(rng, 100, max_parents=3)
+        twin = Taxonomy(t.synsets.values())
         ids = t.ids()
-        search = t._path.__wrapped__
-        search_lcs = t._lcs.__wrapped__
+        search = twin._path.__wrapped__
+        search_lcs = twin._lcs.__wrapped__
         expected = {}
         for a in ids:
             for b in ids:
                 i, j = sorted((t._index(a), t._index(b)))
                 expected[a, b] = (search(i, j), ids[search_lcs(i, j)])
+        assert table_builder(t).cache_info().currsize == 0
         wrong = []
 
         def worker(seed):
