@@ -4,6 +4,7 @@ and report emission in tsv/csv/pretty form."""
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass, field
 
 from .errors import OutOfVocabularyError, ParseError, UndefinedCorrelationError
@@ -68,11 +69,16 @@ def embedded_rg30():
     return BenchmarkDataset("rg30", _RG30)
 
 
+# a rating is a plain ASCII decimal: an optional sign, digits, an optional
+# fraction and an optional exponent
+_RATING = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
 def load_dataset_tsv(stream, name="custom"):
     """Read ``word1<TAB>word2<TAB>rating`` lines into a dataset.
 
     A line without exactly three columns, or with a rating that is not a
-    finite number, raises ParseError with its line number.
+    finite plain decimal number, raises ParseError with its line number.
     """
     pairs = []
     for number, fields in tsv_rows(stream):
@@ -86,6 +92,8 @@ def load_dataset_tsv(stream, name="custom"):
             raise ParseError(f"rating {text!r} is not a number", number) from None
         if not math.isfinite(rating):
             raise ParseError(f"rating {text!r} is not finite", number)
+        if not _RATING.fullmatch(text):
+            raise ParseError(f"rating {text!r} is not a plain decimal number", number)
         pairs.append((w1.strip(), w2.strip(), rating))
     return BenchmarkDataset(name, tuple(pairs))
 
@@ -137,6 +145,15 @@ def range_stat(x):
     return max(x) - min(x)
 
 
+def _finite_range(values, column):
+    """range_stat of a report column; a range that overflows to inf, as
+    that of 1e308 and -1e308 does, is refused, not printed."""
+    spread = range_stat(values)
+    if not math.isfinite(spread):
+        raise UndefinedCorrelationError(f"range of column {column!r} is not finite")
+    return spread
+
+
 def run_benchmark(taxonomy, index, dataset, measures, skip_oov=False):
     """Score every pair under every measure and correlate with the humans.
 
@@ -159,7 +176,7 @@ def run_benchmark(taxonomy, index, dataset, measures, skip_oov=False):
 
     report = CorrelationReport(dataset=dataset.name, pairs=usable, skipped=skipped)
     human = [rating for _, _, rating in usable]
-    report.human_range = range_stat(human)
+    report.human_range = _finite_range(human, "human")
     for name, ic in measures:
         measure = get_measure(name)
         scores = [
@@ -168,7 +185,7 @@ def run_benchmark(taxonomy, index, dataset, measures, skip_oov=False):
         ]
         report.columns[name] = scores
         report.r[name] = pearson(scores, human)
-        report.ranges[name] = range_stat(scores)
+        report.ranges[name] = _finite_range(scores, name)
     return report
 
 

@@ -43,14 +43,13 @@ def ic_corpus(taxonomy, index, frequencies):
     if not frequencies.counts:
         # zero counts are fine (smoothing covers them); an empty table is not
         raise UnusableModelError("corpus IC requires a non-empty frequency table")
-    # one pass over the synsets in load order, which is node index order
-    count = frequencies.count
-    self_weight = []
-    for synset in taxonomy.synsets.values():
-        weight = 0.0
-        for lemma in synset.lemmas:
-            weight += count(lemma) + 1
-        self_weight.append(weight)
+    # one pass over the lemma column, which runs in node index order; each
+    # synset's lemma weights are summed in lemma order, as a loop would
+    columns = taxonomy._columns
+    owner = np.repeat(np.arange(len(taxonomy)), np.diff(np.asarray(columns.lemma_indptr)))
+    weights = np.fromiter((count + 1 for count in map(frequencies.count, columns.lemmas)),
+                          dtype=np.float64, count=len(columns.lemmas))
+    self_weight = np.bincount(owner, weights=weights, minlength=len(taxonomy))
     freq = taxonomy._scatter_to_ancestors(self_weight)
     root_freq = freq[taxonomy._index(taxonomy.root)]
     if root_freq <= 0:

@@ -1,7 +1,9 @@
 """Immutable hypernym DAG with precomputed ancestor/depth caches.
 
-A Taxonomy is built once from Synset records and frozen; all graph checks
-live in the build. It maps every distinct hypernym link to a pair of int
+A Taxonomy is built once from synset records held as flat columns
+(``SynsetColumns``) and frozen; all graph checks live in the build. It keeps
+the columns and makes a ``Synset`` only when one is looked up in
+``synsets``. It maps every distinct hypernym link to a pair of int
 node indices and fills all caches in one level-by-level pass. It then peels the
 undirected link graph down to its 2-core, so that the path query holds
 neighbour rows only for the core nodes and, per node, the node it hangs
@@ -17,6 +19,8 @@ node indices, so a loaded taxonomy is still safe to share across threads.
 
 import functools
 import math
+from array import array
+from collections.abc import Mapping
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +35,73 @@ class Synset(NamedTuple):
     id: str
     lemmas: tuple
     hypernyms: tuple = ()
+
+
+class SynsetColumns:
+    """Synset records as flat columns, the form a Taxonomy is built from.
+
+    Record k has id ``ids[k]``, lemmas
+    ``lemmas[lemma_indptr[k] : lemma_indptr[k + 1]]`` and hypernym ids
+    ``hypernyms[hypernym_indptr[k] : hypernym_indptr[k + 1]]``. The two
+    indptr columns are int arrays that start at 0. Indexing makes the
+    record's Synset.
+    """
+
+    __slots__ = ("ids", "lemmas", "lemma_indptr", "hypernyms", "hypernym_indptr")
+
+    def __init__(self, ids, lemmas, lemma_indptr, hypernyms, hypernym_indptr):
+        self.ids = ids
+        self.lemmas = lemmas
+        self.lemma_indptr = lemma_indptr
+        self.hypernyms = hypernyms
+        self.hypernym_indptr = hypernym_indptr
+
+    @classmethod
+    def of(cls, synsets):
+        """The columns of an iterable of Synset."""
+        synsets = list(synsets)
+        lemmas, hypernyms = [], []
+        lemma_indptr, hypernym_indptr = array("q", [0]), array("q", [0])
+        for s in synsets:
+            lemmas += s.lemmas
+            hypernyms += s.hypernyms
+            lemma_indptr.append(len(lemmas))
+            hypernym_indptr.append(len(hypernyms))
+        return cls([s.id for s in synsets], lemmas, lemma_indptr, hypernyms,
+                   hypernym_indptr)
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, k):
+        return self._record(range(len(self.ids))[k])
+
+    def _record(self, k):
+        """The Synset of record k, 0 <= k < len(self)."""
+        lp, hp = self.lemma_indptr, self.hypernym_indptr
+        return Synset(self.ids[k], tuple(self.lemmas[lp[k] : lp[k + 1]]),
+                      tuple(self.hypernyms[hp[k] : hp[k + 1]]))
+
+
+class SynsetMap(Mapping):
+    """Read-only map from synset id to its Synset, made on each lookup from
+    the columns a Taxonomy was built from."""
+
+    def __init__(self, columns, pos):
+        self._columns = columns
+        self._pos = pos
+
+    def __getitem__(self, synset_id):
+        return self._columns._record(self._pos[synset_id])
+
+    def __contains__(self, synset_id):
+        return synset_id in self._pos
+
+    def __iter__(self):
+        return iter(self._columns.ids)
+
+    def __len__(self):
+        return len(self._columns)
 
 
 def _ranges(starts, lengths):
@@ -72,35 +143,40 @@ class Taxonomy:
     """Single-rooted acyclic hypernym graph, frozen after construction."""
 
     def __init__(self, synsets):
-        synsets = list(synsets)
-        if not synsets:
+        """Build from SynsetColumns, or from an iterable of Synset, which
+        is turned into its columns first."""
+        columns = synsets if isinstance(synsets, SynsetColumns) else SynsetColumns.of(synsets)
+        n = len(columns)
+        if not n:
             raise StructureError("empty taxonomy")
-        for s in synsets:
-            if not s.lemmas:
-                raise StructureError(f"synset {s.id!r} has no lemmas")
-        self._ids = [s.id for s in synsets]
-        self.synsets = dict(zip(self._ids, synsets))
-        n = len(self._ids)
-        if len(self.synsets) != n:
+        lemma_counts = np.diff(np.asarray(columns.lemma_indptr))
+        if not lemma_counts.all():
+            sid = columns.ids[np.argmin(lemma_counts)]
+            raise StructureError(f"synset {sid!r} has no lemmas")
+        self._ids = columns.ids
+        self._pos = dict(zip(self._ids, range(n)))
+        if len(self._pos) != n:
             seen = set()
             for sid in self._ids:
                 if sid in seen:
                     raise StructureError(f"duplicate synset id {sid!r}")
                 seen.add(sid)
-        self._pos = dict(zip(self._ids, range(n)))
+        self._columns = columns
+        self.synsets = SynsetMap(columns, self._pos)
 
         # every hypernym link once, as int pairs child[k] -> parent[k]
         # sorted by child, then parent; a link listed twice counts once
+        hypernyms = columns.hypernyms
         try:
-            parent = np.array([self._pos[h] for s in synsets for h in s.hypernyms],
-                              dtype=np.int64)
+            parent = np.fromiter(map(self._pos.__getitem__, hypernyms), dtype=np.int64,
+                                 count=len(hypernyms))
         except KeyError as exc:
             # the first unknown id in link order; the first synset to list it
             h = exc.args[0]
-            s = next(s for s in synsets if h in s.hypernyms)
+            k = np.searchsorted(columns.hypernym_indptr, hypernyms.index(h), side="right")
             raise IntegrityError(
-                f"synset {s.id!r} references unknown hypernym {h!r}") from None
-        child = np.repeat(np.arange(n), [len(s.hypernyms) for s in synsets])
+                f"synset {self._ids[k - 1]!r} references unknown hypernym {h!r}") from None
+        child = np.repeat(np.arange(n), np.diff(np.asarray(columns.hypernym_indptr)))
         child, parent = np.divmod(_distinct(child * n + parent), n)
         n_parents = np.bincount(child, minlength=n)
         loops = child[child == parent]

@@ -72,7 +72,6 @@ def test_c1_path_measure_anchors(wn):
 @needs_wordnet
 def test_c2_correlation_reproduction(wn):
     taxonomy, index, _ = wn
-    hybrid = ic_hybrid_table(taxonomy)
     report = run_benchmark(
         taxonomy, index, embedded_rg30(),
         [("wup", None), ("lch", None), ("new", None)])

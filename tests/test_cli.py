@@ -295,7 +295,7 @@ class TestBench:
         assert "constant input vector" in err
 
     @pytest.mark.parametrize("ratings, like", [
-        (("1e308", "-1e308", "0"), ("1", "-1", "0")),      # every r read 1.0000
+        (("1e308", "-1e307", "0"), ("10", "-1", "0")),     # every r read 1.0000
         (("1e200", "2e200", "3e200"), ("1", "2", "3")),    # OverflowError traceback
     ])
     def test_wide_range_ratings(self, capsys, t7_file, tmp_path, ratings, like):
@@ -311,6 +311,14 @@ class TestBench:
             return out.splitlines()[-1]
 
         assert r_row(ratings) == r_row(like)
+
+    def test_non_finite_range_exits_one(self, capsys, t7_file, tmp_path):
+        # 1e308 - -1e308 overflows: the range used to print as inf, exit 0
+        ds = tmp_path / "wide.tsv"
+        ds.write_text("e\tb\t1e308\nc\td\t-1e308\ne\tf\t0\n", encoding="utf-8")
+        code, out, err = run(capsys, "bench", "--taxonomy-tsv", t7_file,
+                             "--dataset", str(ds), "--measures", "wup")
+        assert (code, out, err) == (1, "", "taxsim: range of column 'human' is not finite\n")
 
     def test_csv_format(self, capsys, t7_file, mini_dataset):
         code, out, _ = run(capsys, "bench", "--taxonomy-tsv", t7_file,
@@ -342,6 +350,15 @@ class TestBadInput:
         assert code == 1
         assert out == ""
         assert "line 4:" in err
+
+    @pytest.mark.parametrize("count", ["1_000", "+5", "\u0663"])
+    def test_non_ascii_digit_frequency_exits_one(self, capsys, t7_file, tmp_path, count):
+        path = tmp_path / "freq.tsv"
+        path.write_text(f"e\t1\nf\t{count}\n", encoding="utf-8")
+        code, out, err = run(capsys, "ic", "e", "--taxonomy-tsv", t7_file,
+                             "--model", "corpus", "--frequencies", str(path))
+        assert (code, out, err) == (
+            1, "", f"taxsim: line 2: count {count!r} is not ASCII decimal digits\n")
 
     def test_data_noun_without_words_exits_one(self, capsys, tmp_path):
         data = DATA_NOUN + "00000003 03 n 00 000 | no words\n"

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from taxsim import evaluation
 from taxsim.errors import OutOfVocabularyError, ParseError, UndefinedCorrelationError
 from taxsim.evaluation import (
     embedded_rg30,
@@ -15,6 +16,7 @@ from taxsim.evaluation import (
     run_benchmark,
 )
 from taxsim.ic import ic_hybrid_table, ic_seco
+from taxsim.similarity import Score
 
 
 def pearson_oracle(x, y):
@@ -137,6 +139,21 @@ class TestLoadDatasetTsv:
             load_dataset_tsv(io.StringIO(text))
         assert info.value.line_number == line
 
+    @pytest.mark.parametrize("text, value", [
+        ("3", 3.0), ("-1.5", -1.5), ("+2.", 2.0), (".5", 0.5), ("1e3", 1000.0),
+        ("2.5E-1", 0.25), ("007", 7.0),
+    ])
+    def test_plain_decimal_ratings(self, text, value):
+        ds = load_dataset_tsv(io.StringIO(f"a\tb\t{text}\n"))
+        assert ds.pairs == (("a", "b", value),)
+
+    @pytest.mark.parametrize("text", ["1_0.5", "\u0663", " 2", "2.0 ", "1e1_0"])
+    def test_python_literal_rating_rejected(self, text):
+        # float() reads each of these; a rating is a plain ASCII decimal
+        with pytest.raises(ParseError) as info:
+            load_dataset_tsv(io.StringIO(f"a\tb\t1\nc\td\t{text}\n"))
+        assert str(info.value) == f"line 2: rating {text!r} is not a plain decimal number"
+
 
 class TestRangeStat:
     def test_simple(self):
@@ -216,6 +233,20 @@ class TestRunBenchmark:
         report = run_benchmark(t, idx, ds, [("wup", None)], skip_oov=True)
         assert report.skipped == [("e", "zzz")]
         assert len(report.pairs) == 3
+
+    def test_non_finite_range_names_its_column(self, t7_both, monkeypatch):
+        t, idx = t7_both
+        ds = load_dataset_tsv(io.StringIO("e\tb\t1e308\nc\td\t-1e308\ne\tf\t0\n"))
+        with pytest.raises(UndefinedCorrelationError,
+                           match="^range of column 'human' is not finite$"):
+            run_benchmark(t, idx, ds, [("wup", None)])
+        # a score column whose range overflows is refused by its measure name
+        scores = iter([1e308, 0.5, -1e308, 0.0])
+        monkeypatch.setattr(evaluation, "word_similarity",
+                            lambda *args, **kwargs: Score(next(scores)))
+        with pytest.raises(UndefinedCorrelationError,
+                           match="^range of column 'rada_dist' is not finite$"):
+            run_benchmark(t, idx, self.t7_dataset(), [("rada_dist", None)])
 
     def test_deterministic_reports(self, t7_both):
         t, idx = t7_both

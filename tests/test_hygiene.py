@@ -4,18 +4,21 @@ import ast
 import importlib
 import io
 import pathlib
+import random
 import re
 import sys
 
 import pytest
 
-from taxsim import cli, evaluation, ic, similarity, wordnet
+from taxsim import cli, evaluation, ic, similarity, taxonomy, wordnet
 from taxsim.cli import _measure_tables, build_parser
 from taxsim.similarity import MEASURES
-from taxsim.taxonomy import Taxonomy
-from taxsim.wordnet import load_frequencies, load_tsv_taxonomy, parse_data_noun
+from taxsim.taxonomy import Synset, SynsetMap, Taxonomy
+from taxsim.wordnet import load_frequencies, load_tsv_taxonomy, load_wordnet, parse_data_noun
 
 from conftest import T7_TSV
+from test_kernels import wordnet_shaped_dag
+from test_wordnet import render_taxonomy
 
 TESTS = pathlib.Path(__file__).resolve().parent
 ROOT = TESTS.parent
@@ -187,3 +190,38 @@ def test_perfbench_interface(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert (code, calls) == (0, {"run_benchmark": 1, "word_similarity": 3 * len(MEASURES)}), \
         "clirun.py patches evaluation.run_benchmark and evaluation.word_similarity"
+
+
+def test_wordnet_load_makes_no_synset_record(tmp_path, monkeypatch, capsys):
+    # the load fills columns and makes a Synset only on lookup, so neither
+    # the load, `info` nor the corpus IC model pays for one per record
+    dag = wordnet_shaped_dag(random.Random(127), 4000, multi_share=0.03)
+    data, index = render_taxonomy(dag, {s.lemmas[0]: [sid] for sid, s in dag.synsets.items()})
+    (tmp_path / "data.noun").write_text(data, encoding="utf-8")
+    (tmp_path / "index.noun").write_text(index, encoding="utf-8")
+    made, lookups = [], []
+
+    def counted_synset(*args, **kwargs):
+        made.append(args)
+        return Synset(*args, **kwargs)
+
+    def counted_lookup(self, synset_id):
+        lookups.append(synset_id)
+        return lookup(self, synset_id)
+
+    lookup = SynsetMap.__getitem__
+    for module in (taxonomy, wordnet):
+        monkeypatch.setattr(module, "Synset", counted_synset)
+    monkeypatch.setattr(SynsetMap, "__getitem__", counted_lookup)
+    load_wordnet(str(tmp_path))
+    assert (made, lookups) == ([], [])
+    assert cli.main(["info", "--wordnet", str(tmp_path)]) == 0
+    assert f"synsets {len(dag)}" in capsys.readouterr().out.splitlines()
+    assert len(made) <= 1 and len(lookups) <= 1
+    (tmp_path / "counts.tsv").write_text("n0001\t5\n", encoding="utf-8")
+    made.clear()
+    lookups.clear()
+    assert cli.main(["ic", "n0001", "--model", "corpus", "--wordnet", str(tmp_path),
+                     "--frequencies", str(tmp_path / "counts.tsv")]) == 0
+    assert capsys.readouterr().out.startswith("n0001\tn0001\t")
+    assert len(made) <= 1 and len(lookups) <= 1

@@ -1,4 +1,6 @@
 import io
+import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -6,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from taxsim.errors import IntegrityError, ParseError, StructureError
 from taxsim.evaluation import load_dataset_tsv
 from taxsim.wordnet import (
+    _count,
     load_frequencies,
     load_tsv_taxonomy,
     normalize_lemma,
@@ -16,6 +19,7 @@ from taxsim.wordnet import (
 from taxsim.taxonomy import Taxonomy
 
 from conftest import T7_TSV
+from test_kernels import wordnet_shaped_dag
 
 # Minimal stream in the WordNet 3.0 data.noun layout: root, a two-lemma
 # synset, an @i child, and a node whose extra pointers must be ignored.
@@ -299,6 +303,16 @@ class TestFrequencies:
         with pytest.raises(ParseError):
             load_frequencies(io.StringIO("dog\tmany\n"))
 
+    @pytest.mark.parametrize("count", ["1_000", "+5", "\u0663", " 5", "-0"])
+    def test_python_int_literal_rejected(self, count):
+        # int() reads each of these; a count is ASCII decimal digits
+        with pytest.raises(ParseError) as exc:
+            load_frequencies(io.StringIO(f"cat\t2\ndog\t{count}\n"))
+        assert str(exc.value) == f"line 2: count {count!r} is not ASCII decimal digits"
+
+    def test_leading_zeros_read(self):
+        assert load_frequencies(io.StringIO("dog\t007\n")).counts == {"dog": 7}
+
 
 @pytest.mark.parametrize("load, row, message", [
     (load_tsv_taxonomy, "A\tR\tX", "expected 'child<TAB>parent', got 'A\\tR\\tX'"),
@@ -330,3 +344,183 @@ def test_wordnet_parsers_share_the_record_rule(parse, record, message):
 
 def test_normalize_lemma():
     assert normalize_lemma("Sports Car") == "sports_car"
+
+
+# -- the columnar load against the record build ------------------------------
+
+
+def frozen_state(t):
+    """Every array and count a Taxonomy freezes, as plain Python values."""
+    up, anchor, hang, tables = t._path.__wrapped__.args
+    core_indptr, core_indices, longest = tables.__wrapped__.args
+    views = (t._depth, t._anc_indptr, t._anc_indices, t._subsumers, up, anchor, hang,
+             core_indptr, core_indices)
+    return ([list(view) for view in views]
+            + [t._hyponyms.tolist(), t._is_leaf.tolist(), t.ids(), t._pos, t.root, longest,
+               t.max_depth, t.max_subsumer_count, t.edge_count, t.multi_parent_count,
+               t.leaf_count, t.max_fanout, t.core_count, t.branch_count, t._new_floor,
+               t._new_scale])
+
+
+def t7_dictionary():
+    """T7 and its lemma -> synset ids map."""
+    taxonomy, index = load_tsv_taxonomy(io.StringIO(T7_TSV))
+    return taxonomy, {lemma: index.senses(lemma) for lemma in index.entries}
+
+
+def shaped_dictionary():
+    """The 4,000-node WordNet-shaped DAG of C4 and C7 and its lemma map."""
+    dag = wordnet_shaped_dag(random.Random(127), 4000, multi_share=0.03)
+    return dag, {s.lemmas[0]: [sid] for sid, s in dag.synsets.items()}
+
+
+def write_dictionary(directory, data, index):
+    directory.mkdir(exist_ok=True)
+    (directory / "data.noun").write_text(data, encoding="utf-8")
+    (directory / "index.noun").write_text(index, encoding="utf-8")
+    return str(directory)
+
+
+@pytest.mark.parametrize("dictionary", [t7_dictionary, shaped_dictionary],
+                         ids=["t7", "shaped"])
+def test_columnar_load_equals_record_build(tmp_path, dictionary):
+    source, senses = dictionary()
+    records = [source.synsets[sid] for sid in source.ids()]
+    taxonomy, index = load_wordnet(write_dictionary(tmp_path,
+                                                    *render_taxonomy(source, senses)))
+    built = Taxonomy(records)
+    assert frozen_state(taxonomy) == frozen_state(built)
+    assert [taxonomy.synsets[s.id] for s in records] == records
+    assert [built.synsets[s.id] for s in records] == records
+    assert taxonomy.leaves() == built.leaves()
+    pos = built._pos
+    for lemma, sids in senses.items():
+        assert index.nodes(lemma) == tuple(pos[sid] for sid in sids)
+        assert index.senses(lemma) == sids
+
+
+# each valid spelling of a count that the files do not use, in place of the
+# one they do: the record must load as if it were written the usual way
+NON_CANONICAL = [
+    ("data.noun", " 001 @ 00000001", " 0001 @ 00000001"),              # p_cnt 0003 style
+    ("data.noun", " 0a a 0 b 0", " 0A a 0 b 0"),                        # upper-case w_cnt
+    ("data.noun", " 0a a 0 b 0", " a a 0 b 0"),                         # one hex digit
+    ("index.noun", "alpha n 1 1 @ 1 0", "alpha n 01 1 @ 1 0"),          # synset_cnt
+    ("index.noun", "alpha n 1 1 @ 1 0", "alpha n 1 001 @ 1 0"),         # p_cnt
+    ("index.noun", "gamma n 2 2 @ ~ 2 0", "gamma n 2 2 @ ~ 02 0"),      # sense_cnt
+    ("index.noun", "gamma n 2 2 @ ~ 2 0", "gamma n 2 2 @ ~ 2 1000"),    # past the table
+    ("index.noun", "beta n 1 1 @ 1 0 00000003", "beta n 1 1 @ 1 0 00000003|a note"),
+]
+
+
+@pytest.mark.parametrize("name, canonical, variant", NON_CANONICAL,
+                         ids=["data_p_cnt", "data_w_cnt_upper", "data_w_cnt_one_digit",
+                              "index_synset_cnt", "index_p_cnt", "index_sense_cnt",
+                              "index_tagsense_cnt_1000", "index_bar"])
+def test_non_canonical_record_loads_the_same(tmp_path, name, canonical, variant):
+    data = DATA_NOUN + "00000005 03 n 0a " + " ".join(f"{w} 0" for w in "abcdefghij") \
+        + " 001 @ 00000001 n 0000 | ten lemmas\n"
+    texts = {"data.noun": data, "index.noun": INDEX_NOUN}
+    expected = load_wordnet(write_dictionary(tmp_path / "a", *texts.values()))
+    assert canonical in texts[name]
+    texts[name] = texts[name].replace(canonical, variant)
+    loaded = load_wordnet(write_dictionary(tmp_path / "b", *texts.values()))
+    assert frozen_state(loaded[0]) == frozen_state(expected[0])
+    assert list(loaded[0].synsets.items()) == list(expected[0].synsets.items())
+    assert loaded[1].entries == expected[1].entries
+
+
+@pytest.fixture
+def thousand_records():
+    """data.noun and index.noun text with a header line and 1,000 good records:
+    synset 00000001 and 999 children of it, lemma wK naming synset K + 1."""
+    nodes = [{"id": f"{i + 1:08d}", "lemmas": [f"w{i}"], "decoys": [], "gloss": "g | h",
+              "links": [(0, "@")] if i else []} for i in range(1000)]
+    return render(nodes, {f"w{i}": [f"{i + 1:08d}"] for i in range(1000)})
+
+
+@pytest.mark.parametrize("record, message", [
+    ("00000001 03 n zz entity 0 000 | broken",
+     "invalid literal for int() with base 16: 'zz'"),
+    ("00000002 03 n 01 thing 0 002 @ 00000001 n 0000 | short",
+     "record needs 15 fields, has 11"),
+    ("00000002 03 n 01 thing 0 002 @ 00000001 n 0000 ~ 00000001 | short",
+     "record needs 15 fields, has 13"),
+    ("00000002 03 n 0a a 0 b 0 c 0 d 0 e 0 000 | short", "list index out of range"),
+    ("00000002 03 n 01 thing 0 -01 @ 00000001 n 0000 | negative", "p_cnt must be >= 0"),
+    ("00000002 03 v 01 thing 0 001 @ 00000001 n 0000 | a verb",
+     "ss_type must be 'n', got 'v'"),
+    ("00000003 03 n 00 000 | no words", "w_cnt must be >= 1"),
+    ("00000002 03 n 01 thing 0 001 | @ 00000001 n 0000", "record needs 11 fields, has 7"),
+    ("\t| a gloss alone", "list index out of range"),
+    ("00000002 03 n 0x1 thing 0 000 | prefixed", "w_cnt must be ASCII hex digits, got '0x1'"),
+    ("00000002 03 n 01 thing 0 +00 | signed", "p_cnt must be ASCII decimal digits, got '+00'"),
+    ("00000002 03 n 01 thing 0 ٣ | arabic",
+     "p_cnt must be ASCII decimal digits, got '٣'"),
+])
+def test_bad_data_record_after_good_ones_reports_its_line(thousand_records, record,
+                                                          message):
+    data, _ = thousand_records
+    with pytest.raises(ParseError) as exc:
+        parse_data_noun(io.StringIO(data + record + "\n"))
+    assert str(exc.value) == f"line 1002: malformed data.noun record: {message}"
+
+
+@pytest.mark.parametrize("record, message", [
+    ("ghost n 1 0 1 0 99999999", "index lemma 'ghost' references unknown synset 99999999"),
+    ("nothing n 0 0 0 0", "malformed index.noun record: synset_cnt must be >= 1"),
+    ("w5 n 1 0 1 0 00000001", "duplicate lemma 'w5'"),
+    ("nothing n 1 -1 0 00000002", "malformed index.noun record: p_cnt must be >= 0"),
+    ("nothing v 1 0 1 0 00000002", "malformed index.noun record: pos must be 'n', got 'v'"),
+    ("nothing n 1 1 @ x y 00000002",
+     "malformed index.noun record: invalid literal for int() with base 10: 'x'"),
+    ("nothing n 1 0 1 -1 00000002", "malformed index.noun record: tagsense_cnt must be >= 0"),
+    ("nothing n 1 0 1 0 | 00000002", "lemma 'nothing': synset_cnt 1 but 0 trailing offsets"),
+    ("nothing n 1 0 1 0 |00000002", "lemma 'nothing': synset_cnt 1 but 0 trailing offsets"),
+    ("nothing n 2 0 2 0 00000002", "lemma 'nothing': synset_cnt 2 but 1 trailing offsets"),
+    ("nothing n +1 0 1 0 00000002",
+     "malformed index.noun record: synset_cnt must be ASCII decimal digits, got '+1'"),
+    ("nothing n 1 0 1_0 0 00000002",
+     "malformed index.noun record: sense_cnt must be ASCII decimal digits, got '1_0'"),
+])
+def test_bad_index_record_after_good_ones_reports_its_line(thousand_records, record,
+                                                           message):
+    data, index = thousand_records
+    taxonomy = Taxonomy(parse_data_noun(io.StringIO(data)))
+    with pytest.raises((ParseError, IntegrityError)) as exc:
+        parse_index_noun(io.StringIO(index + record + "\n"), taxonomy)
+    assert str(exc.value) == f"line 1002: {message}"
+
+
+@pytest.mark.parametrize("later", ["nothing n 0 0 0 0", "w5 n 1 0 1 0 00000001",
+                                   "nothing n 1 0 1 0 00000002 00000003"],
+                         ids=["malformed", "duplicate", "count_mismatch"])
+def test_unknown_offset_wins_over_later_bad_line(thousand_records, later):
+    data, index = thousand_records
+    taxonomy = Taxonomy(parse_data_noun(io.StringIO(data)))
+    lines = index.splitlines(keepends=True)
+    text = "".join(lines[:500] + ["ghost n 2 0 2 0 00000007 99999999\n"] + lines[500:]
+                   + [later + "\n"])
+    with pytest.raises(IntegrityError) as exc:
+        parse_index_noun(io.StringIO(text), taxonomy)
+    assert str(exc.value) == "line 501: index lemma 'ghost' references unknown synset 99999999"
+
+
+@pytest.mark.parametrize("text, base, message", [
+    ("+5", 10, "p_cnt must be ASCII decimal digits, got '+5'"),
+    ("1_000", 10, "p_cnt must be ASCII decimal digits, got '1_000'"),
+    ("٣", 10, "p_cnt must be ASCII decimal digits, got '٣'"),
+    ("0x1", 16, "p_cnt must be ASCII hex digits, got '0x1'"),
+    ("0_1", 16, "p_cnt must be ASCII hex digits, got '0_1'"),
+    ("-1", 10, "p_cnt must be >= 0"),
+    ("x", 10, "invalid literal for int() with base 10: 'x'"),
+])
+def test_count_accepts_ascii_digits_only(text, base, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _count(text, "p_cnt", 0, base)
+
+
+@pytest.mark.parametrize("text, base, value", [("0003", 10, 3), ("0A", 16, 10),
+                                               ("ff", 16, 255), ("1000", 10, 1000)])
+def test_count_reads_any_ascii_spelling(text, base, value):
+    assert _count(text, "p_cnt", 0, base) == value
