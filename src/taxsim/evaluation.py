@@ -102,40 +102,39 @@ def pearson(x, y):
     """Sample Pearson correlation coefficient of two equal-length vectors."""
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    n = len(x)
-    if n < 2:
-        raise UndefinedCorrelationError("pearson needs at least two points")
-    if not all(map(math.isfinite, x)) or not all(map(math.isfinite, y)):
-        raise UndefinedCorrelationError("non-finite input value")
-    # scale each vector by a power of two to below 1 in magnitude, so that
-    # no difference, square or sum below overflows; the scaling is exact
-    # and r does not depend on it. Then centre on the first point before
-    # taking the means: the differences are exact for values within a
-    # factor of two of it, so a spread of a few ulps is not lost to the
-    # rounding of a mean
-    x = _scaled(x)
-    y = _scaled(y)
-    x = [a - x[0] for a in x]
-    y = [b - y[0] for b in y]
-    mx = sum(x) / n
-    my = sum(y) / n
-    sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
-    sxx = sum((a - mx) * (a - mx) for a in x)
-    syy = sum((b - my) * (b - my) for b in y)
-    if sxx == 0.0 or syy == 0.0:
-        raise UndefinedCorrelationError("constant input vector")
-    r = sxy / math.sqrt(sxx * syy)
+    dx, sxx = _deviations(x)
+    dy, syy = _deviations(y)
+    r = sum(a * b for a, b in zip(dx, dy)) / math.sqrt(sxx * syy)
     # clamping would turn a NaN into 1.0, so a non-finite r is refused first
     if not math.isfinite(r):
         raise UndefinedCorrelationError("correlation is not finite")
     return max(-1.0, min(1.0, r))
 
 
-def _scaled(values):
-    """values times the power of two that brings the largest magnitude into
-    [0.5, 1)."""
+def _deviations(values):
+    """The deviations of one vector from its mean, and their sum of squares.
+
+    Raises UndefinedCorrelationError for fewer than two points, a
+    non-finite value or no spread. The vector is first scaled by the power
+    of two that brings its largest magnitude into [0.5, 1), so that no
+    difference, square or sum overflows; the scaling is exact and r does
+    not depend on it. It is then centred on its first point before the mean
+    is taken: the differences are exact for values within a factor of two
+    of it, so a spread of a few ulps is not lost to the rounding of a mean.
+    """
+    if len(values) < 2:
+        raise UndefinedCorrelationError("pearson needs at least two points")
+    if not all(map(math.isfinite, values)):
+        raise UndefinedCorrelationError("non-finite input value")
     _, exponent = math.frexp(max(map(abs, values)))
-    return [math.ldexp(v, -exponent) for v in values]
+    values = [math.ldexp(v, -exponent) for v in values]
+    centred = [v - values[0] for v in values]
+    mean = sum(centred) / len(centred)
+    deviations = [v - mean for v in centred]
+    squares = sum(d * d for d in deviations)
+    if squares == 0.0:
+        raise UndefinedCorrelationError("constant input vector")
+    return deviations, squares
 
 
 def range_stat(x):
@@ -152,6 +151,20 @@ def _finite_range(values, column):
     if not math.isfinite(spread):
         raise UndefinedCorrelationError(f"range of column {column!r} is not finite")
     return spread
+
+
+def _correlation(scores, human, column):
+    """pearson(scores, human) for a measure column; when it is undefined,
+    the message names the column at fault: ``human`` if the ratings cannot
+    be correlated on their own, else the measure."""
+    try:
+        return pearson(scores, human)
+    except UndefinedCorrelationError as exc:
+        try:
+            _deviations(human)
+        except UndefinedCorrelationError as human_exc:
+            column, exc = "human", human_exc
+        raise UndefinedCorrelationError(f"cannot correlate column {column!r}: {exc}") from None
 
 
 def run_benchmark(taxonomy, index, dataset, measures, skip_oov=False):
@@ -184,7 +197,7 @@ def run_benchmark(taxonomy, index, dataset, measures, skip_oov=False):
             for w1, w2, _ in usable
         ]
         report.columns[name] = scores
-        report.r[name] = pearson(scores, human)
+        report.r[name] = _correlation(scores, human, name)
         report.ranges[name] = _finite_range(scores, name)
     return report
 

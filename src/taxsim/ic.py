@@ -28,8 +28,9 @@ class IcTable:
         return self._values[self.taxonomy._index(synset_id)]
 
     def values(self):
-        """Read-only memoryview of the values in taxonomy.ids() order: it
-        indexes to Python floats, and ``np.asarray`` of it copies nothing."""
+        """Read-only memoryview of the values in the order of
+        ``taxonomy.synsets``: it indexes to Python floats, and
+        ``np.asarray`` of it copies nothing."""
         return self._values
 
 

@@ -141,41 +141,6 @@ MEASURES = {
 }
 
 
-# the measures on one pair of synset ids
-
-
-def sim_resnik(taxonomy, ic, c1, c2):
-    return MEASURES["resnik"](taxonomy, c1, c2, ic=ic)
-
-
-def dist_jcn(taxonomy, ic, c1, c2):
-    return MEASURES["jcn_dist"](taxonomy, c1, c2, ic=ic)
-
-
-def sim_jcn_norm(taxonomy, ic, c1, c2):
-    return MEASURES["jcn_norm"](taxonomy, c1, c2, ic=ic)
-
-
-def sim_lin(taxonomy, ic, c1, c2):
-    return MEASURES["lin"](taxonomy, c1, c2, ic=ic)
-
-
-def dist_rada(taxonomy, c1, c2):
-    return MEASURES["rada_dist"](taxonomy, c1, c2)
-
-
-def sim_wup(taxonomy, c1, c2):
-    return MEASURES["wup"](taxonomy, c1, c2)
-
-
-def sim_lch(taxonomy, c1, c2):
-    return MEASURES["lch"](taxonomy, c1, c2)
-
-
-def sim_new(taxonomy, c1, c2):
-    return MEASURES["new"](taxonomy, c1, c2)
-
-
 def get_measure(name):
     try:
         return MEASURES[name]

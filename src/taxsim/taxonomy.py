@@ -334,10 +334,6 @@ class Taxonomy:
     def __len__(self):
         return len(self._ids)
 
-    def ids(self):
-        """All synset ids in load order."""
-        return list(self._ids)
-
     def leaves(self):
         return [self._ids[i] for i in np.flatnonzero(self._is_leaf)]
 
@@ -345,7 +341,8 @@ class Taxonomy:
 
     def ancestors(self, synset_id):
         """All synsets on any hypernym path from the root, including the
-        synset itself."""
+        synset itself: the subsumer set that ``lcs`` searches and whose
+        size the hybrid IC takes the log of."""
         i = self._index(synset_id)
         idx = self._anc_indices[self._anc_indptr[i] : self._anc_indptr[i + 1]]
         return frozenset(self._ids[j] for j in idx)
@@ -355,11 +352,9 @@ class Taxonomy:
         return self._subsumers[self._index(synset_id)]
 
     def hyponym_count(self, synset_id):
-        """Distinct transitive descendants, excluding the synset itself."""
+        """Distinct transitive descendants, excluding the synset itself: the
+        count the seco IC is built on."""
         return int(self._hyponyms[self._index(synset_id)])
-
-    def is_leaf(self, synset_id):
-        return bool(self._is_leaf[self._index(synset_id)])
 
     def depth(self, synset_id):
         """Node count along a shortest hypernym path from root; depth(root) = 1."""

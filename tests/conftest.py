@@ -1,3 +1,4 @@
+import functools
 import io
 import os
 from collections import deque
@@ -59,13 +60,26 @@ def random_tree(rng, n):
 # -- brute-force oracles, independent of the Taxonomy caches -------------
 
 
+@functools.lru_cache(maxsize=8)
+def oracle_links(taxonomy):
+    """Per synset id, its hypernym ids and its child ids, read from
+    ``taxonomy.synsets`` once per taxonomy (a taxonomy is immutable)."""
+    parents = {sid: s.hypernyms for sid, s in taxonomy.synsets.items()}
+    children = {sid: [] for sid in parents}
+    for sid, hypernyms in parents.items():
+        for parent in hypernyms:
+            children[parent].append(sid)
+    return parents, children
+
+
 def oracle_ancestors(taxonomy, start):
     """Fixpoint of BFS over hypernym edges from start, start included."""
+    parents, _ = oracle_links(taxonomy)
     seen = {start}
     queue = deque([start])
     while queue:
         node = queue.popleft()
-        for parent in taxonomy.synsets[node].hypernyms:
+        for parent in parents[node]:
             if parent not in seen:
                 seen.add(parent)
                 queue.append(parent)
@@ -74,18 +88,14 @@ def oracle_ancestors(taxonomy, start):
 
 def oracle_undirected_bfs(taxonomy, src, dst):
     """Plain undirected BFS distance over hypernym links."""
-    children = {sid: [] for sid in taxonomy.synsets}
-    for sid, s in taxonomy.synsets.items():
-        for parent in s.hypernyms:
-            children[parent].append(sid)
+    parents, children = oracle_links(taxonomy)
     dist = {src: 0}
     queue = deque([src])
     while queue:
         node = queue.popleft()
         if node == dst:
             return dist[node]
-        neighbors = list(taxonomy.synsets[node].hypernyms) + children[node]
-        for other in neighbors:
+        for other in (*parents[node], *children[node]):
             if other not in dist:
                 dist[other] = dist[node] + 1
                 queue.append(other)
@@ -95,11 +105,8 @@ def oracle_undirected_bfs(taxonomy, src, dst):
 def oracle_core(taxonomy):
     """The undirected link graph with every node but the root that has one
     link removed, until none is left: core id -> set of core neighbour ids."""
-    links = {sid: set() for sid in taxonomy.synsets}
-    for sid, s in taxonomy.synsets.items():
-        for parent in s.hypernyms:
-            links[sid].add(parent)
-            links[parent].add(sid)
+    parents, children = oracle_links(taxonomy)
+    links = {sid: {*parents[sid], *children[sid]} for sid in parents}
     pendant = [sid for sid, ls in links.items() if len(ls) == 1 and sid != taxonomy.root]
     while pendant:
         sid = pendant.pop()
@@ -115,16 +122,11 @@ def oracle_branch_count(taxonomy):
     return sum(len(ls) != 2 for ls in oracle_core(taxonomy).values()) or 1
 
 
-def oracle_depth(taxonomy, node):
-    """Node-count depth via BFS from the root over child edges."""
-    return oracle_undirected_down_depth(taxonomy)[node]
-
-
+@functools.lru_cache(maxsize=8)
 def oracle_undirected_down_depth(taxonomy):
-    children = {sid: [] for sid in taxonomy.synsets}
-    for sid, s in taxonomy.synsets.items():
-        for parent in s.hypernyms:
-            children[parent].append(sid)
+    """Node-count depth of every synset via BFS from the root over child
+    edges, once per taxonomy; callers must not change the map."""
+    _, children = oracle_links(taxonomy)
     depth = {taxonomy.root: 1}
     queue = deque([taxonomy.root])
     while queue:

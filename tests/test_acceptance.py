@@ -12,7 +12,7 @@ import pytest
 
 from taxsim.evaluation import embedded_rg30, emit_report, pearson, run_benchmark
 from taxsim.ic import ic_hybrid_table, ic_sanchez, ic_seco
-from taxsim.similarity import MEASURES, sim_new, word_similarity
+from taxsim.similarity import MEASURES, word_similarity
 from taxsim.wordnet import load_wordnet
 
 from conftest import (
@@ -86,7 +86,7 @@ def test_c3_oracle_equivalence():
     rng = random.Random(101)
     for _ in range(100):
         t = random_dag(rng, rng.randint(2, 200), max_parents=2)
-        ids = t.ids()
+        ids = list(t.synsets)
         for sid in ids:
             assert t.subsumer_count(sid) == len(oracle_ancestors(t, sid))
         for _ in range(15):
@@ -112,8 +112,7 @@ def _check_ic_endpoints(taxonomy):
             for parent in synset.hypernyms:
                 assert table[sid] >= table[parent], (name, sid)
     seco = tables["seco"]
-    for sid in taxonomy.ids():
-        assert (seco[sid] == 1.0) == taxonomy.is_leaf(sid)
+    assert [sid for sid in taxonomy.synsets if seco[sid] == 1.0] == taxonomy.leaves()
 
 
 def test_c4_ic_endpoints_random_trees():
@@ -134,7 +133,7 @@ def test_c4_ic_endpoints_wordnet_shaped(shaped):
 
 
 def _check_measure_invariants(taxonomy, pairs):
-    ids = taxonomy.ids()
+    ids = list(taxonomy.synsets)
     tables = {"seco": ic_seco(taxonomy), "hybrid": ic_hybrid_table(taxonomy)}
     m = taxonomy.max_subsumer_count
     eps = math.log((m + 1) / m)
@@ -145,7 +144,7 @@ def _check_measure_invariants(taxonomy, pairs):
         "lch": (0.0, math.log(2 * taxonomy.max_depth)),
         "new": (0.0, math.log(2 * math.log(m) / eps)),
     }
-    identical_new = sim_new(taxonomy, ids[0], ids[0]).value
+    identical_new = MEASURES["new"](taxonomy, ids[0], ids[0]).value
     for measure in MEASURES.values():
         ic = tables.get(measure.ic_model)
         lo, hi = bounds.get(measure.name, (0.0, math.inf))
@@ -161,7 +160,7 @@ def _check_measure_invariants(taxonomy, pairs):
 def test_c5_measure_invariants_10k_pairs(wn):
     taxonomy, _, _ = wn
     rng = random.Random(107)
-    ids = taxonomy.ids()
+    ids = list(taxonomy.synsets)
     pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(10_000)]
     _check_measure_invariants(taxonomy, pairs)
 
@@ -172,7 +171,7 @@ def test_c5_measure_invariants_wordnet_shaped():
     # and about 3 % multi-parent nodes
     rng = random.Random(113)
     taxonomy = wordnet_shaped_dag(rng, 4000, multi_share=0.03)
-    ids = taxonomy.ids()
+    ids = list(taxonomy.synsets)
     pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(2000)]
     pairs += [(sid, sid) for sid in ids[:20]]
     _check_measure_invariants(taxonomy, pairs)

@@ -101,6 +101,7 @@ class TestInfo:
         monkeypatch.delenv("WORDNET_DIR", raising=False)
         code, _, err = run(capsys, "info")
         assert code == 3
+        assert "no taxonomy source" in err
 
     def test_bad_file_is_load_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.tsv"
@@ -182,6 +183,7 @@ class TestSim:
     def test_oov_exits_two(self, capsys, t7_file):
         code, _, err = run(capsys, "sim", "x", "zzz", "--taxonomy-tsv", t7_file)
         assert code == 2
+        assert err == "taxsim: out-of-vocabulary lemma: 'zzz'\n"
 
     def test_invalid_measure_ic_pairing_exits_three(self, capsys, t7_file):
         code, _, _ = run(capsys, "sim", "x", "y", "--taxonomy-tsv", t7_file,
@@ -290,9 +292,17 @@ class TestBench:
         ds.write_text("e\te\t1.0\nf\tf\t2.0\n", encoding="utf-8")
         code, out, err = run(capsys, "bench", "--taxonomy-tsv", t7_file,
                              "--dataset", str(ds), "--measures", "wup")
-        assert code == 1
-        assert out == ""
-        assert "constant input vector" in err
+        assert (code, out, err) == (
+            1, "", "taxsim: cannot correlate column 'wup': constant input vector\n")
+
+    def test_constant_human_column_exits_one(self, capsys, t7_file, tmp_path):
+        # the ratings are at fault, whatever the measures score
+        ds = tmp_path / "flat.tsv"
+        ds.write_text("e\tb\t2\nc\td\t2\ne\tf\t2\n", encoding="utf-8")
+        code, out, err = run(capsys, "bench", "--taxonomy-tsv", t7_file,
+                             "--dataset", str(ds), "--measures", "wup")
+        assert (code, out, err) == (
+            1, "", "taxsim: cannot correlate column 'human': constant input vector\n")
 
     @pytest.mark.parametrize("ratings, like", [
         (("1e308", "-1e307", "0"), ("10", "-1", "0")),     # every r read 1.0000

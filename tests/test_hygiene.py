@@ -23,6 +23,7 @@ from test_wordnet import render_taxonomy
 TESTS = pathlib.Path(__file__).resolve().parent
 ROOT = TESTS.parent
 SRC = ROOT / "src" / "taxsim"
+PYTHON_FILES = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(tree):
@@ -42,11 +43,58 @@ def test_unused_import_check_finds_one():
     assert unused_imports(tree) == [(1, "os"), (3, "d")]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PYTHON_FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert unused_imports(tree) == []
+
+
+def unused_locals(tree):
+    """(line, name) of each plain ``name = value`` in a function whose name
+    nothing in that function reads. Tuple targets and names that start with
+    ``_`` are exempt, and so are names declared global or nonlocal."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        kept = {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        kept.update(name for node in ast.walk(func)
+                    if isinstance(node, (ast.Global, ast.Nonlocal)) for name in node.names)
+        # the function's own statements: a nested scope is checked on its own
+        stack = list(func.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                                 ast.Lambda)):
+                continue
+            stack.extend(ast.iter_child_nodes(node))
+            if isinstance(node, ast.Assign):
+                found += [(node.lineno, target.id) for target in node.targets
+                          if isinstance(target, ast.Name)
+                          and not target.id.startswith("_") and target.id not in kept]
+    return sorted(found)
+
+
+def test_unused_local_check_finds_one():
+    tree = ast.parse(
+        "def f():\n"
+        "    a = 1\n"
+        "    b = c = 2\n"
+        "    d, e = 3, 4\n"
+        "    _f = 5\n"
+        "    def g():\n"
+        "        h = b\n"
+        "    class K:\n"
+        "        i = 6\n"
+        "    return g, K\n")
+    assert unused_locals(tree) == [(2, "a"), (3, "c"), (7, "h")]
+
+
+@pytest.mark.parametrize("path", PYTHON_FILES, ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert unused_locals(tree) == []
 
 
 def line_prefixed_fstrings(tree):
@@ -101,7 +149,7 @@ def test_ic_measure_scores_with_its_own_model(name):
     [(resolved, table)] = _measure_tables(args, [name], taxonomy, index)
     assert resolved == name
     assert table.model == MEASURES[name].ic_model
-    ids = taxonomy.ids()
+    ids = list(taxonomy.synsets)
     for c1 in ids:
         for c2 in ids:
             MEASURES[name](taxonomy, c1, c2, ic=table)

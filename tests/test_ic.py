@@ -84,8 +84,7 @@ class TestSeco:
         for _ in range(5):
             t = random_dag(rng, rng.randint(2, 100))
             table = ic_seco(t)
-            for sid in t.ids():
-                assert (table[sid] == 1.0) == t.is_leaf(sid)
+            assert [sid for sid in t.synsets if table[sid] == 1.0] == t.leaves()
 
     def test_single_node_unusable(self):
         t = Taxonomy([Synset("R", ("r",))])
@@ -118,7 +117,7 @@ class TestHybrid:
         rng = random.Random(9)
         for _ in range(5):
             t = random_dag(rng, rng.randint(2, 100))
-            for sid in t.ids():
+            for sid in t.synsets:
                 assert ic_hybrid_table(t)[sid] == pytest.approx(
                     math.log(len(t.ancestors(sid))), abs=1e-12)
 
@@ -126,7 +125,7 @@ class TestHybrid:
         rng = random.Random(15)
         for _ in range(5):
             t = random_tree(rng, rng.randint(2, 100))
-            for sid in t.ids():
+            for sid in t.synsets:
                 assert ic_hybrid_table(t)[sid] == pytest.approx(
                     math.log(t.depth(sid)), abs=1e-12)
 
@@ -157,7 +156,7 @@ class TestSharedInvariants:
     def test_normalized_flag_honest(self, builder, t7):
         table = builder(t7)
         if table.normalized:
-            assert all(0.0 <= table[sid] <= 1.0 for sid in t7.ids())
+            assert all(0.0 <= table[sid] <= 1.0 for sid in t7.synsets)
 
     @pytest.mark.parametrize("model", MODELS)
     def test_root_is_positive_zero(self, model, t7, t7_index):

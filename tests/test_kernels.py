@@ -23,7 +23,7 @@ def taxonomy_of(edges, nodes=()):
 
 
 def assert_all_pairs_match_oracle(t):
-    ids = t.ids()
+    ids = list(t.synsets)
     for a in ids:
         for b in ids:
             assert t.shortest_path_edges(a, b) == oracle_undirected_bfs(t, a, b), (a, b)
@@ -52,7 +52,7 @@ def peel(t):
     the core ids with their core neighbour ids."""
     up, anchor, hang, tables = t._path.__wrapped__.args
     indptr, indices, _ = tables.__wrapped__.args
-    ids = t.ids()
+    ids = list(t.synsets)
     core = [ids[u] for u in range(len(ids)) if up[u] < 0]
     return ({ids[u]: (core[anchor[u]], hang[u]) for u in range(len(ids))},
             {core[k]: [core[v] for v in indices[indptr[k] : indptr[k + 1]]]
@@ -64,7 +64,7 @@ class TestAgainstOracle:
         rng = random.Random(73)
         for _ in range(10):
             t = random_dag(rng, rng.randint(2, 120))
-            ids = t.ids()
+            ids = list(t.synsets)
             for _ in range(25):
                 a, b = rng.choice(ids), rng.choice(ids)
                 assert t.shortest_path_edges(a, b) == oracle_undirected_bfs(t, a, b)
@@ -75,7 +75,7 @@ class TestAgainstOracle:
         # the uncached search's and the oracle's
         rng = random.Random(79)
         t = random_dag(rng, 100, max_parents=3)
-        ids = t.ids()
+        ids = list(t.synsets)
         pairs = [(a, b) for a in ids for b in ids]
         first = {(a, b): t.shortest_path_edges(a, b) for a, b in pairs}
         info = t._path.cache_info()
@@ -143,7 +143,7 @@ class TestCorePeel:
         for _ in range(32):
             t = wordnet_shaped_dag(rng, rng.randint(30, 60))
             hanging, _ = peel(t)
-            ids = t.ids()
+            ids = list(t.synsets)
             for k, a in enumerate(ids):
                 for b in ids[k:]:
                     assert t.shortest_path_edges(a, b) == oracle_undirected_bfs(t, a, b), (a, b)
@@ -294,7 +294,7 @@ class TestBranchTable:
         assert t.shortest_path_edges("A140", "B140") == 280   # through R
         assert t.shortest_path_edges("A250", "B250") == 80    # through M
         rng = random.Random(229)
-        ids = t.ids()
+        ids = list(t.synsets)
         for a, b in [("A150", "C150"), ("A299", "B1")] + [
                 (rng.choice(ids), rng.choice(ids)) for _ in range(200)]:
             assert t.shortest_path_edges(a, b) == oracle_undirected_bfs(t, a, b), (a, b)
@@ -321,8 +321,8 @@ class TestSymmetry:
         for _ in range(10):
             t = random_dag(rng, rng.randint(2, 60), max_parents=3)
             search = t._path.__wrapped__
-            for a in t.ids():
-                for b in t.ids():
+            for a in t.synsets:
+                for b in t.synsets:
                     i, j = t._index(a), t._index(b)
                     d = t.shortest_path_edges(a, b)
                     assert d == t.shortest_path_edges(b, a)
@@ -337,7 +337,7 @@ class TestThreads:
         rng = random.Random(97)
         t = random_dag(rng, 100, max_parents=3)
         twin = Taxonomy(t.synsets.values())
-        ids = t.ids()
+        ids = list(t.synsets)
         search = twin._path.__wrapped__
         search_lcs = twin._lcs.__wrapped__
         expected = {}

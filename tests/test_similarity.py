@@ -16,15 +16,7 @@ from taxsim.similarity import (
     MEASURES,
     SIMILARITY,
     best_sense_pair,
-    dist_jcn,
-    dist_rada,
     get_measure,
-    sim_jcn_norm,
-    sim_lch,
-    sim_lin,
-    sim_new,
-    sim_resnik,
-    sim_wup,
     word_similarity,
 )
 from taxsim.taxonomy import Synset, Taxonomy
@@ -40,45 +32,48 @@ LN = math.log
 class TestResnik:
     def test_against_root_is_zero(self, t7):
         seco = ic_seco(t7)
-        for sid in t7.ids():
-            assert sim_resnik(t7, seco, sid, "R").value == 0.0
+        for sid in t7.synsets:
+            assert MEASURES["resnik"](t7, sid, "R", ic=seco).value == 0.0
 
     def test_t7_value(self, t7):
         seco = ic_seco(t7)
         expected = 1 - LN(3) / LN(7)  # IC_seco(C)
-        assert sim_resnik(t7, seco, "E", "F").value == pytest.approx(expected, abs=1e-12)
+        assert MEASURES["resnik"](t7, "E", "F", ic=seco).value == pytest.approx(
+            expected, abs=1e-12)
 
     def test_self_is_own_ic(self, t7):
         seco = ic_seco(t7)
-        for sid in t7.ids():
-            assert sim_resnik(t7, seco, sid, sid).value == seco[sid]
+        for sid in t7.synsets:
+            assert MEASURES["resnik"](t7, sid, sid, ic=seco).value == seco[sid]
 
 
 class TestJcn:
     def test_self_distance_zero(self, t7):
         hyb = ic_hybrid_table(t7)
-        assert dist_jcn(t7, hyb, "E", "E").value == 0.0
+        assert MEASURES["jcn_dist"](t7, "E", "E", ic=hyb).value == 0.0
 
     def test_t7_hybrid_value(self, t7):
         hyb = ic_hybrid_table(t7)
         expected = LN(4) + LN(4) - 2 * LN(3)
-        assert dist_jcn(t7, hyb, "E", "F").value == pytest.approx(expected, abs=1e-12)
+        assert MEASURES["jcn_dist"](t7, "E", "F", ic=hyb).value == pytest.approx(
+            expected, abs=1e-12)
 
     def test_symmetry(self, t7):
         hyb = ic_hybrid_table(t7)
-        for c1 in t7.ids():
-            for c2 in t7.ids():
-                assert dist_jcn(t7, hyb, c1, c2).value == dist_jcn(t7, hyb, c2, c1).value
+        for c1 in t7.synsets:
+            for c2 in t7.synsets:
+                assert (MEASURES["jcn_dist"](t7, c1, c2, ic=hyb).value
+                        == MEASURES["jcn_dist"](t7, c2, c1, ic=hyb).value)
 
 
 class TestJcnNorm:
     def test_self_is_one(self, t7):
         seco = ic_seco(t7)
-        assert sim_jcn_norm(t7, seco, "E", "E").value == 1.0
+        assert MEASURES["jcn_norm"](t7, "E", "E", ic=seco).value == 1.0
 
     def test_t7_value_equals_lcs_ic_for_leaves(self, t7):
         seco = ic_seco(t7)
-        assert sim_jcn_norm(t7, seco, "E", "F").value == pytest.approx(
+        assert MEASURES["jcn_norm"](t7, "E", "F", ic=seco).value == pytest.approx(
             seco["C"], abs=1e-12)
 
     def test_maximally_distant_leaves(self):
@@ -88,76 +83,76 @@ class TestJcnNorm:
             Synset("A", ("a",), hypernyms=("R",)),
             Synset("B", ("b",), hypernyms=("R",)),
         ])
-        assert sim_jcn_norm(t, ic_seco(t), "A", "B").value == 0.0
+        assert MEASURES["jcn_norm"](t, "A", "B", ic=ic_seco(t)).value == 0.0
 
     def test_rejects_non_normalized_ic(self, t7):
         with pytest.raises(InvalidCombinationError):
-            sim_jcn_norm(t7, ic_hybrid_table(t7), "E", "F")
+            MEASURES["jcn_norm"](t7, "E", "F", ic=ic_hybrid_table(t7))
 
 
 class TestLin:
     def test_self_is_one(self, t7):
         hyb = ic_hybrid_table(t7)
-        assert sim_lin(t7, hyb, "E", "E").value == 1.0
+        assert MEASURES["lin"](t7, "E", "E", ic=hyb).value == 1.0
 
     def test_root_pair_convention(self, t7):
-        assert sim_lin(t7, ic_hybrid_table(t7), "R", "R").value == 0.0
+        assert MEASURES["lin"](t7, "R", "R", ic=ic_hybrid_table(t7)).value == 0.0
 
     def test_t7_hybrid_value(self, t7):
         hyb = ic_hybrid_table(t7)
         expected = 2 * LN(3) / (LN(4) + LN(4))
-        assert sim_lin(t7, hyb, "E", "F").value == pytest.approx(expected, abs=1e-12)
+        assert MEASURES["lin"](t7, "E", "F", ic=hyb).value == pytest.approx(expected, abs=1e-12)
 
 
 class TestRada:
     def test_self_zero(self, t7):
-        assert dist_rada(t7, "E", "E").value == 0.0
+        assert MEASURES["rada_dist"](t7, "E", "E").value == 0.0
 
     def test_t7_value(self, t7):
-        assert dist_rada(t7, "E", "B").value == 4.0
+        assert MEASURES["rada_dist"](t7, "E", "B").value == 4.0
 
 
 class TestWup:
     def test_self_is_one(self, t7):
-        for sid in t7.ids():
-            assert sim_wup(t7, sid, sid).value == 1.0
+        for sid in t7.synsets:
+            assert MEASURES["wup"](t7, sid, sid).value == 1.0
 
     def test_t7_value(self, t7):
-        assert sim_wup(t7, "E", "F").value == pytest.approx(0.75, abs=1e-12)
+        assert MEASURES["wup"](t7, "E", "F").value == pytest.approx(0.75, abs=1e-12)
 
 
 class TestLch:
     def test_t7_value(self, t7):
-        assert sim_lch(t7, "E", "F").value == pytest.approx(-LN(3 / 8), abs=1e-12)
+        assert MEASURES["lch"](t7, "E", "F").value == pytest.approx(-LN(3 / 8), abs=1e-12)
 
     def test_identical_pair_uses_single_node_path(self, t7):
-        assert sim_lch(t7, "E", "E").value == pytest.approx(-LN(1 / 8), abs=1e-12)
+        assert MEASURES["lch"](t7, "E", "E").value == pytest.approx(-LN(1 / 8), abs=1e-12)
 
     def test_monotone_in_path_length(self, t7):
         # same max_depth, longer path => strictly smaller score
-        assert sim_lch(t7, "E", "F").value > sim_lch(t7, "E", "B").value
+        assert MEASURES["lch"](t7, "E", "F").value > MEASURES["lch"](t7, "E", "B").value
 
 
 class TestSimNew:
     def test_t7_value(self, t7):
         d = 2 * LN(4) - 2 * LN(3)
         expected = LN(2 * LN(4) / d)
-        assert sim_new(t7, "E", "F").value == pytest.approx(expected, abs=1e-12)
+        assert MEASURES["new"](t7, "E", "F").value == pytest.approx(expected, abs=1e-12)
 
     def test_identical_pair_floored_and_maximal(self, t7):
         eps = LN(5 / 4)
         expected = LN(2 * LN(4) / eps)
-        identical = sim_new(t7, "E", "E").value
+        identical = MEASURES["new"](t7, "E", "E").value
         assert identical == pytest.approx(expected, abs=1e-12)
-        for c1 in t7.ids():
-            for c2 in t7.ids():
+        for c1 in t7.synsets:
+            for c2 in t7.synsets:
                 if c1 != c2 and t7.ancestors(c1) != t7.ancestors(c2):
-                    assert sim_new(t7, c1, c2).value < identical
+                    assert MEASURES["new"](t7, c1, c2).value < identical
 
     def test_degenerate_taxonomy_rejected(self):
         t = Taxonomy([Synset("R", ("r",))])
         with pytest.raises(UnusableModelError):
-            sim_new(t, "R", "R")
+            MEASURES["new"](t, "R", "R")
 
     def test_d_term_matches_hybrid_jcn_before_flooring(self):
         rng = random.Random(37)
@@ -168,12 +163,12 @@ class TestSimNew:
                 continue
             hyb = ic_hybrid_table(t)
             eps = LN((m + 1) / m)
-            ids = t.ids()
+            ids = list(t.synsets)
             for _ in range(30):
                 c1, c2 = rng.choice(ids), rng.choice(ids)
-                d = max(dist_jcn(t, hyb, c1, c2).value, eps)
+                d = max(MEASURES["jcn_dist"](t, c1, c2, ic=hyb).value, eps)
                 expected = LN(2 * LN(m) / d)
-                assert sim_new(t, c1, c2).value == pytest.approx(expected, abs=1e-9)
+                assert MEASURES["new"](t, c1, c2).value == pytest.approx(expected, abs=1e-9)
 
     def test_log_base_change_preserves_word_score_order(self, t7, t7_index):
         # recompute the measure with base-2 logs everywhere; the ranking of
@@ -185,8 +180,8 @@ class TestSimNew:
                  - 2 * math.log2(t.subsumer_count(t.lcs(c1, c2))))
             return math.log2(2 * math.log2(m) / max(d, eps))
 
-        pairs = [(a, b) for a in t7.ids() for b in t7.ids() if a <= b]
-        natural = [sim_new(t7, *p).value for p in pairs]
+        pairs = [(a, b) for a in t7.synsets for b in t7.synsets if a <= b]
+        natural = [MEASURES["new"](t7, *p).value for p in pairs]
         base2 = [sim_new_base2(t7, *p) for p in pairs]
         # no strict rank inversion (ties may resolve either way in floats)
         for i in range(len(pairs)):
@@ -198,7 +193,7 @@ class TestSimNew:
 class TestWordSimilarity:
     def test_monosemous_pair(self, t7, t7_index):
         single = word_similarity(t7, t7_index, "wup", "e", "f")
-        assert single.value == sim_wup(t7, "E", "F").value
+        assert single.value == MEASURES["wup"](t7, "E", "F").value
 
     def test_same_lemma_wup_is_one(self, t7, t7_index):
         assert word_similarity(t7, t7_index, "wup", "x", "x").value == 1.0
@@ -210,7 +205,7 @@ class TestWordSimilarity:
     def test_min_over_sense_pairs_for_distances(self, t7, t7_index):
         score = word_similarity(t7, t7_index, "rada_dist", "x", "y")
         assert score.value == min(
-            dist_rada(t7, "E", "F").value, dist_rada(t7, "D", "F").value)
+            MEASURES["rada_dist"](t7, "E", "F").value, MEASURES["rada_dist"](t7, "D", "F").value)
 
     def test_oov_names_the_lemma(self, t7, t7_index):
         with pytest.raises(OutOfVocabularyError, match="zzz"):
@@ -266,7 +261,7 @@ def shaped_dictionary(tmp_path_factory):
     hypernym when it has one, loaded back."""
     dag = wordnet_shaped_dag(random.Random(127), 4000, multi_share=0.03)
     rng = random.Random(131)
-    ids = dag.ids()
+    ids = list(dag.synsets)
     senses = {}
     for k in range(60):
         sids = rng.sample(ids, rng.randint(1, 3))
@@ -300,7 +295,7 @@ class TestBestSensePair:
         t7, index = t7_both
         lines = T7_TSV.splitlines(keepends=True)
         renumbered, _ = load_tsv_taxonomy(io.StringIO("".join(reversed(lines))))
-        assert renumbered.ids() != t7.ids()
+        assert list(renumbered.synsets) != list(t7.synsets)
         for measure in MEASURES.values():
             ic = make_table(renumbered, measure.ic_model) if measure.ic_model else None
             assert best_sense_pair(renumbered, index, measure, "x", "y", ic=ic) == \
@@ -347,7 +342,7 @@ class TestScalarContracts:
     @pytest.mark.parametrize("model", MODELS)
     def test_ic_value_is_float(self, t7, t7_index, model):
         table = make_table(t7, model, index=t7_index, frequencies=FrequencyTable({"e": 3}))
-        assert all(type(table[sid]) is float for sid in t7.ids())
+        assert all(type(table[sid]) is float for sid in t7.synsets)
 
     @pytest.mark.parametrize("name", sorted(MEASURES))
     @pytest.mark.parametrize("pair", [("nope", "E"), ("E", "nope")])
@@ -372,7 +367,7 @@ class TestMeasureInvariants:
         for _ in range(3):
             t = random_dag(rng, rng.randint(3, 60))
             tables = self._tables(t)
-            ids = t.ids()
+            ids = list(t.synsets)
             for measure in MEASURES.values():
                 ic = self._ic_for(measure, tables)
                 for _ in range(25):
@@ -387,9 +382,9 @@ class TestMeasureInvariants:
             if measure.kind == DISTANCE:
                 continue
             ic = self._ic_for(measure, tables)
-            for c in t.ids():
+            for c in t.synsets:
                 own = measure(t, c, c, ic=ic).value
-                for d in t.ids():
+                for d in t.synsets:
                     assert own >= measure(t, c, d, ic=ic).value - 1e-12
 
     def test_range_bounds(self):
@@ -405,7 +400,7 @@ class TestMeasureInvariants:
             "lch": (0.0, LN(2 * t.max_depth)),
             "new": (0.0, LN(2 * LN(m) / eps)),
         }
-        ids = t.ids()
+        ids = list(t.synsets)
         for name, (lo, hi) in bounds.items():
             measure = get_measure(name)
             ic = self._ic_for(measure, tables)

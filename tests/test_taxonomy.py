@@ -22,7 +22,7 @@ class TestAncestors:
         assert t7.ancestors("E") == {"E", "C", "A", "R"}
 
     def test_contains_self_and_root_everywhere(self, t7):
-        for sid in t7.ids():
+        for sid in t7.synsets:
             anc = t7.ancestors(sid)
             assert sid in anc and "R" in anc
 
@@ -30,7 +30,7 @@ class TestAncestors:
         rng = random.Random(7)
         for _ in range(20):
             t = random_dag(rng, rng.randint(2, 200))
-            for sid in t.ids():
+            for sid in t.synsets:
                 assert t.ancestors(sid) == oracle_ancestors(t, sid)
 
     def test_unknown_id(self, t7):
@@ -46,14 +46,14 @@ class TestSubsumerCount:
         assert t7.subsumer_count("E") == 4
 
     def test_one_only_for_root(self, t7):
-        for sid in t7.ids():
+        for sid in t7.synsets:
             assert (t7.subsumer_count(sid) == 1) == (sid == "R")
 
     def test_matches_oracle_cardinality(self):
         rng = random.Random(11)
         for _ in range(10):
             t = random_dag(rng, rng.randint(2, 150))
-            for sid in t.ids():
+            for sid in t.synsets:
                 assert t.subsumer_count(sid) == len(oracle_ancestors(t, sid))
 
 
@@ -71,9 +71,9 @@ class TestHyponymCount:
         rng = random.Random(13)
         for _ in range(10):
             t = random_dag(rng, rng.randint(2, 100))
-            for sid in t.ids():
+            for sid in t.synsets:
                 descendants = sum(
-                    1 for other in t.ids()
+                    1 for other in t.synsets
                     if other != sid and sid in oracle_ancestors(t, other)
                 )
                 assert t.hyponym_count(sid) == descendants
@@ -106,7 +106,7 @@ class TestDepth:
         for _ in range(10):
             t = random_dag(rng, rng.randint(2, 150))
             depths = oracle_undirected_down_depth(t)
-            for sid in t.ids():
+            for sid in t.synsets:
                 assert t.depth(sid) == depths[sid]
 
     def test_unknown_id_message(self, t7):
@@ -116,7 +116,7 @@ class TestDepth:
 
     def test_max_depth(self, t7):
         assert t7.max_depth == 4
-        assert max(t7.depth(sid) for sid in t7.ids()) == 4
+        assert max(t7.depth(sid) for sid in t7.synsets) == 4
 
 
 class TestLcs:
@@ -124,14 +124,14 @@ class TestLcs:
         assert t7.lcs("E", "F") == "C"
 
     def test_self(self, t7):
-        for sid in t7.ids():
+        for sid in t7.synsets:
             assert t7.lcs(sid, sid) == sid
 
     def test_depth_matches_intersection_oracle(self):
         rng = random.Random(19)
         for _ in range(10):
             t = random_dag(rng, rng.randint(2, 100))
-            ids = t.ids()
+            ids = list(t.synsets)
             for _ in range(50):
                 c1, c2 = rng.choice(ids), rng.choice(ids)
                 if c1 == c2:
@@ -145,7 +145,7 @@ class TestLcs:
         # the second pass runs after evictions
         rng = random.Random(23)
         t = random_dag(rng, 100, max_parents=3)
-        ids = t.ids()
+        ids = list(t.synsets)
         depth = oracle_undirected_down_depth(t)
         ancestors = {c: oracle_ancestors(t, c) for c in ids}
 
@@ -170,11 +170,11 @@ class TestLcs:
                       Synset("Y", ("y",), ("R",)), Synset("P", ("p",), ("Z", "Y")),
                       Synset("Q", ("q",), ("Z", "Y"))])
         assert t.lcs("P", "Q") == "Y"
-        assert t.ids()[t._lcs.__wrapped__(t._index("P"), t._index("Q"))] == "Y"
+        assert list(t.synsets)[t._lcs.__wrapped__(t._index("P"), t._index("Q"))] == "Y"
 
     def test_depth_bounded_by_arguments(self, t7):
-        for c1 in t7.ids():
-            for c2 in t7.ids():
+        for c1 in t7.synsets:
+            for c2 in t7.synsets:
                 lcs = t7.lcs(c1, c2)
                 assert t7.depth(lcs) <= min(t7.depth(c1), t7.depth(c2))
 
@@ -199,7 +199,7 @@ class TestShortestPath:
         rng = random.Random(23)
         for _ in range(10):
             t = random_dag(rng, rng.randint(2, 200))
-            ids = t.ids()
+            ids = list(t.synsets)
             for _ in range(40):
                 c1, c2 = rng.choice(ids), rng.choice(ids)
                 d = t.shortest_path_edges(c1, c2)
@@ -207,14 +207,14 @@ class TestShortestPath:
                 assert d == oracle_undirected_bfs(t, c1, c2)
 
     def test_through_lcs_upper_bound(self, t7):
-        for c1 in t7.ids():
-            for c2 in t7.ids():
+        for c1 in t7.synsets:
+            for c2 in t7.synsets:
                 lcs_depth = t7.depth(t7.lcs(c1, c2))
                 bound = (t7.depth(c1) - lcs_depth) + (t7.depth(c2) - lcs_depth)
                 assert t7.shortest_path_edges(c1, c2) <= bound
 
     def test_triangle_inequality(self, t7):
-        ids = t7.ids()
+        ids = list(t7.synsets)
         for a in ids:
             for b in ids:
                 for c in ids:
@@ -228,18 +228,18 @@ class TestInvariants:
         rng = random.Random(29)
         for _ in range(10):
             t = random_dag(rng, rng.randint(2, 100))
-            for sid in t.ids():
+            for sid in t.synsets:
                 assert t.subsumer_count(sid) >= t.depth(sid)
 
     def test_subsumers_equal_depth_on_trees(self):
         rng = random.Random(31)
         for _ in range(10):
             t = random_tree(rng, rng.randint(2, 100))
-            for sid in t.ids():
+            for sid in t.synsets:
                 assert t.subsumer_count(sid) == t.depth(sid)
 
     def test_determinism(self, t7):
-        pairs = [(a, b) for a in t7.ids() for b in t7.ids()]
+        pairs = [(a, b) for a in t7.synsets for b in t7.synsets]
         first = [(t7.lcs(a, b), t7.shortest_path_edges(a, b)) for a, b in pairs]
         second = [(t7.lcs(a, b), t7.shortest_path_edges(a, b)) for a, b in pairs]
         assert first == second
@@ -251,7 +251,7 @@ class TestArrayBuild:
 
     @staticmethod
     def check_against_oracles(t):
-        ids = t.ids()
+        ids = list(t.synsets)
         depths = oracle_undirected_down_depth(t)
         ancestors = {sid: oracle_ancestors(t, sid) for sid in ids}
         for sid in ids:
@@ -261,7 +261,7 @@ class TestArrayBuild:
             assert t.depth(sid) == depths[sid]
             assert t.subsumer_count(sid) == len(ancestors[sid])
             assert t.hyponym_count(sid) == descendants
-            assert t.is_leaf(sid) == (descendants == 0)
+            assert t._is_leaf[t._index(sid)] == (descendants == 0)
 
     @pytest.mark.parametrize("max_parents", [1, 2, 3])
     def test_random_dags(self, max_parents):
@@ -274,7 +274,7 @@ class TestArrayBuild:
     def test_one_and_two_nodes(self, n):
         t = random_dag(random.Random(41), n)
         self.check_against_oracles(t)
-        assert t.shortest_path_edges(t.root, t.ids()[-1]) == n - 1
+        assert t.shortest_path_edges(t.root, list(t.synsets)[-1]) == n - 1
 
     def test_parent_listed_twice(self):
         synsets = [
@@ -285,8 +285,8 @@ class TestArrayBuild:
         ]
         t = Taxonomy(synsets)
         self.check_against_oracles(t)
-        for a in t.ids():
-            for b in t.ids():
+        for a in t.synsets:
+            for b in t.synsets:
                 assert t.shortest_path_edges(a, b) == oracle_undirected_bfs(t, a, b)
         # the records keep what they list; a link listed twice counts once
         assert t.synsets["B"].hypernyms == ("A", "R", "A")

@@ -209,7 +209,7 @@ def render(nodes, senses):
 def render_taxonomy(taxonomy, senses):
     """data.noun and index.noun text for the synsets of a Taxonomy, all
     links as ``@``, and a lemma -> ordered synset ids map."""
-    pos = {sid: k for k, sid in enumerate(taxonomy.ids())}
+    pos = {sid: k for k, sid in enumerate(taxonomy.synsets)}
     nodes = [{"id": sid, "lemmas": s.lemmas, "decoys": [], "gloss": "a node | b",
               "links": [(pos[h], "@") for h in s.hypernyms]}
              for sid, s in taxonomy.synsets.items()]
@@ -230,7 +230,7 @@ def test_data_and_index_round_trip(tmp_path, nodes, data):
     (tmp_path / "index.noun").write_text(index_text, encoding="utf-8")
 
     taxonomy, index = load_wordnet(str(tmp_path))
-    assert taxonomy.ids() == [node["id"] for node in nodes]
+    assert list(taxonomy.synsets) == [node["id"] for node in nodes]
     for node in nodes:
         synset = taxonomy.synsets[node["id"]]
         assert synset.hypernyms == tuple(nodes[p]["id"] for p, _ in node["links"])
@@ -273,8 +273,8 @@ class TestTsvTaxonomy:
         text = "# T7\n\n" + T7_TSV.replace("C\tA\n", "C\tA\n   \n# bindings\n")
         t, index = load_tsv_taxonomy(io.StringIO(text))
         t7, t7_index = load_tsv_taxonomy(io.StringIO(T7_TSV))
-        assert t.ids() == t7.ids()
-        assert [t.ancestors(sid) for sid in t.ids()] == [t7.ancestors(sid) for sid in t7.ids()]
+        assert list(t.synsets) == list(t7.synsets)
+        assert [t.ancestors(sid) for sid in t.synsets] == [t7.ancestors(sid) for sid in t7.synsets]
         assert index.entries == t7_index.entries
 
 
@@ -356,7 +356,7 @@ def frozen_state(t):
     views = (t._depth, t._anc_indptr, t._anc_indices, t._subsumers, up, anchor, hang,
              core_indptr, core_indices)
     return ([list(view) for view in views]
-            + [t._hyponyms.tolist(), t._is_leaf.tolist(), t.ids(), t._pos, t.root, longest,
+            + [t._hyponyms.tolist(), t._is_leaf.tolist(), list(t.synsets), t._pos, t.root, longest,
                t.max_depth, t.max_subsumer_count, t.edge_count, t.multi_parent_count,
                t.leaf_count, t.max_fanout, t.core_count, t.branch_count, t._new_floor,
                t._new_scale])
@@ -385,7 +385,7 @@ def write_dictionary(directory, data, index):
                          ids=["t7", "shaped"])
 def test_columnar_load_equals_record_build(tmp_path, dictionary):
     source, senses = dictionary()
-    records = [source.synsets[sid] for sid in source.ids()]
+    records = [source.synsets[sid] for sid in source.synsets]
     taxonomy, index = load_wordnet(write_dictionary(tmp_path,
                                                     *render_taxonomy(source, senses)))
     built = Taxonomy(records)
