@@ -129,8 +129,9 @@ def cmd_bench(args):
     else:
         with open(args.dataset, encoding="utf-8") as f:
             dataset = evaluation.load_dataset_tsv(f, name=os.path.basename(args.dataset))
+    # a name given twice is scored once, in the column it first names
     names = (list(similarity.MEASURES) if args.measures == "all"
-             else [m.strip() for m in args.measures.split(",") if m.strip()])
+             else list(dict.fromkeys(m.strip() for m in args.measures.split(",") if m.strip())))
     if not names:
         raise InvalidCombinationError(f"--measures {args.measures!r} names no measure")
     measures = _measure_tables(args, names, taxonomy, index)

@@ -1,11 +1,13 @@
 """Exact shortest path over the undirected hypernym graph.
 
-``Taxonomy`` peels the graph down to its 2-core at freeze time: round by
-round it removes every node but the root that has one live link left. Each
-removed node keeps the live neighbour it hung from (``up``), the core node
-its subtree hangs from (its anchor) and its hop count to that node
-(``hang``). Every path out of a hanging subtree passes through its anchor,
-so a query needs no search when both endpoints hang from one anchor (climb
+``Taxonomy`` splits the graph at freeze time into its core, the root plus
+every ancestor of a multi-parent node, and the trees that hang from it:
+every other node has one parent, and so has every node below it. The core
+is what is left once every node but the root that has one link is removed,
+until none has. Each hanging node keeps its one parent (``up``), the core
+node its tree hangs from (its anchor) and its hop count to that node
+(``hang``). Every path out of a hanging tree passes through its anchor, so
+a query needs no search when both endpoints hang from one anchor (climb
 ``up`` until they meet) and otherwise adds both hop counts to the distance
 between the two anchors, which it reads off a table.
 
@@ -110,7 +112,7 @@ def branch_tables(indptr, indices, longest):
 def bfs_distance(up, anchor, hang, tables, src, dst):
     """Fewest undirected edges between node indices src and dst.
 
-    up[u] is the node a peeled node u hung from (-1 for a core node),
+    up[u] is the one parent of a hanging node u (-1 for a core node),
     anchor[u] the core number of the core node u hangs from (its own for a
     core node) and hang[u] the hops from u to that node. tables() returns
     ``branch_tables`` of the core, built on its first call.

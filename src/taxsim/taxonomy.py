@@ -4,15 +4,16 @@ A Taxonomy is built once from synset records held as flat columns
 (``SynsetColumns``) and frozen; all graph checks live in the build. It keeps
 the columns and makes a ``Synset`` only when one is looked up in
 ``synsets``. It maps every distinct hypernym link to a pair of int
-node indices and fills all caches in one level-by-level pass. It then peels the
-undirected link graph down to its 2-core, so that the path query holds
-neighbour rows only for the core nodes and, per node, the node it hangs
-from, its core anchor and its hop count to it. All queries (ancestors,
-depth, counts) are pure reads over those caches, the per-node ones through
-read-only memoryviews that index to Python numbers. Lowest common subsumers
-are searched on demand over them, and shortest paths read a table of
-distances between the core's branch nodes (see ``kernels``) that is built
-on the first path query between two anchors, through ``functools.cache``.
+node indices and fills all caches in one level-by-level pass. It reads the
+core of the undirected link graph (see ``kernels``) off the ancestor rows,
+so that the path query holds neighbour rows only for the core nodes and,
+per node, the parent it hangs from, its core anchor and its hop count to
+it. All queries (ancestors, depth, counts) are pure reads over those
+caches, the per-node ones through read-only memoryviews that index to
+Python numbers. Lowest common subsumers are searched on demand over them,
+and shortest paths read a table of distances between the core's branch
+nodes that is built on the first path query between two anchors, through
+``functools.cache``.
 Each query is memoised with ``functools.lru_cache`` over a pure function of
 node indices, so a loaded taxonomy is still safe to share across threads.
 """
@@ -205,15 +206,16 @@ class Taxonomy:
         row_len = np.ones(n, dtype=np.int64)
         rows = np.empty(4 * n, dtype=np.int64)
         rows[0] = roots[0]
-        used = placed = 1
+        used = 1
         level = roots
+        levels = [level]
         while True:
             kids = child[by_parent[_ranges(child_start[level], n_children[level])]]
             np.subtract.at(waiting, kids, 1)
             level = _distinct(kids[waiting[kids] == 0])
             if not len(level):
                 break
-            placed += len(level)
+            levels.append(level)
             links = _ranges(parent_start[level], n_parents[level])
             ps = parent[links]
             depth[level] = 1 + np.minimum.reduceat(
@@ -229,7 +231,7 @@ class Taxonomy:
             rows[used : used + len(anc)] = anc
             used += len(anc)
         # one root and no cycle mean every node reaches the root
-        if placed != n:
+        if sum(map(len, levels)) != n:
             raise StructureError("hypernym graph contains a cycle")
         self._depth = _view(depth)
         self.max_depth = int(depth.max())
@@ -248,45 +250,39 @@ class Taxonomy:
 
         # the structure that drives cost, frozen for `taxsim info`
         self.edge_count = len(parent)
-        self.multi_parent_count = int(np.count_nonzero(n_parents > 1))
+        multi = np.flatnonzero(n_parents > 1)
+        self.multi_parent_count = len(multi)
         self.leaf_count = int(np.count_nonzero(self._is_leaf))
         self.max_fanout = int(n_children.max())
 
-        # peel the undirected link graph down to its 2-core, one round at a
-        # time: each round removes every node but the root that has one live
-        # link left. up[u] is the live neighbour u hung from when peeled, so
-        # the peeled nodes form trees hanging from core nodes, and every
-        # path out of such a tree passes through the core node it hangs from
-        ends = np.concatenate((child, parent))
-        others = np.concatenate((parent, child))
-        live_links = np.bincount(ends, minlength=n)
-        # xor of each node's live neighbours: its only one, once one is left
-        live_xor = np.zeros(n, dtype=np.int64)
-        np.bitwise_xor.at(live_xor, ends, others)
+        # the core (see ``kernels``): the ancestor rows of the root and of
+        # the multi-parent nodes. Peeling every node but the root that has
+        # one link left never peels a parent while a child of it is live,
+        # as the parent keeps its own parent link or is the root. So a
+        # multi-parent node and its ancestors stay, and any other node u
+        # goes once all its children have, hanging from its one parent up[u]
+        seeds = np.append(roots, multi)
+        in_core = np.zeros(n, dtype=bool)
+        in_core[rows[_ranges(row_start[seeds], row_len[seeds])]] = True
         up = np.full(n, -1, dtype=np.int64)
-        rounds = []
-        level = np.flatnonzero(live_links == 1)
-        level = level[level != roots[0]]
-        while len(level):
-            rounds.append(level)
-            hub = live_xor[level]
-            up[level] = hub
-            np.subtract.at(live_links, hub, 1)
-            np.bitwise_xor.at(live_xor, hub, level)
-            level = _distinct(hub[(live_links[hub] == 1) & (hub != roots[0])])
+        up[~in_core] = parent[parent_start[~in_core]]
         # core nodes are renumbered 0..core-1; anchor[u] is the core number
-        # of the node u's subtree hangs from, hang[u] its hop count to it
-        core = np.flatnonzero(up < 0)
+        # of the node u's subtree hangs from, hang[u] its hop count to it,
+        # filled from the root down, as a parent sits at an earlier level
+        core = np.flatnonzero(in_core)
         self.core_count = len(core)
         anchor = np.empty(n, dtype=np.int64)
         anchor[core] = np.arange(len(core))
         hang = np.zeros(n, dtype=np.int64)
-        for level in reversed(rounds):
+        for level in levels:
+            level = level[~in_core[level]]
             anchor[level] = anchor[up[level]]
             hang[level] = hang[up[level]] + 1
         # core-to-core links, both ways, as CSR neighbour rows by core number
-        in_core = (up[ends] < 0) & (up[others] < 0)
-        ends, others = anchor[ends[in_core]], anchor[others[in_core]]
+        ends = np.concatenate((child, parent))
+        others = np.concatenate((parent, child))
+        both = in_core[ends] & in_core[others]
+        ends, others = anchor[ends[both]], anchor[others[both]]
         core_degree = np.bincount(ends, minlength=len(core))
         core_indptr = np.concatenate(([0], np.cumsum(core_degree)))
         core_indices = others[np.argsort(ends, kind="stable")]

@@ -2,6 +2,7 @@ import functools
 import io
 import os
 from collections import deque
+from types import SimpleNamespace
 
 import pytest
 
@@ -55,6 +56,18 @@ def random_dag(rng, n, max_parents=2):
 
 def random_tree(rng, n):
     return random_dag(rng, n, max_parents=1)
+
+
+def path_memo(taxonomy):
+    """The frozen arguments of taxonomy's path memo, by name: up, anchor
+    and hang per node and the table builder ``tables``, which
+    ``kernels.bfs_distance`` reads, and the core CSR (core_indptr,
+    core_indices) and distance bound ``longest`` that the builder holds."""
+    up, anchor, hang, tables = taxonomy._path.__wrapped__.args
+    core_indptr, core_indices, longest = tables.__wrapped__.args
+    return SimpleNamespace(up=up, anchor=anchor, hang=hang, tables=tables,
+                           core_indptr=core_indptr, core_indices=core_indices,
+                           longest=longest)
 
 
 # -- brute-force oracles, independent of the Taxonomy caches -------------

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
+from taxsim import evaluation
 from taxsim.cli import main
 from taxsim.evaluation import emit_report, load_dataset_tsv, run_benchmark
 from taxsim.ic import ic_corpus
-from taxsim.similarity import MEASURES
+from taxsim.similarity import MEASURES, word_similarity
 from taxsim.wordnet import load_frequencies, load_tsv_taxonomy
 
 from conftest import T7_TSV, oracle_branch_count, oracle_core
@@ -213,6 +214,20 @@ class TestBench:
                            "--dataset", mini_dataset, "--measures", "wup,new")
         assert code == 0
         assert out.split("\n")[0] == "word1\tword2\thuman\twup\tnew"
+
+    def test_repeated_measure_is_scored_once(self, capsys, monkeypatch, t7_file, mini_dataset):
+        calls = []
+
+        def counted(taxonomy, index, measure, w1, w2, ic=None):
+            calls.append(measure.name)
+            return word_similarity(taxonomy, index, measure, w1, w2, ic=ic)
+
+        monkeypatch.setattr(evaluation, "word_similarity", counted)
+        code, out, _ = run(capsys, "bench", "--taxonomy-tsv", t7_file,
+                           "--dataset", mini_dataset, "--measures", "wup,lch,wup")
+        assert code == 0
+        assert out.split("\n")[0] == "word1\tword2\thuman\twup\tlch"
+        assert sorted(calls) == ["lch"] * 4 + ["wup"] * 4  # 4 pairs, 2 distinct measures
 
     def test_oov_strict_exits_two(self, capsys, t7_file, tmp_path):
         ds = tmp_path / "oov.tsv"

@@ -1,6 +1,7 @@
 """Checks on the package source and its declarations, not on its results."""
 
 import ast
+import collections
 import importlib
 import io
 import pathlib
@@ -16,7 +17,7 @@ from taxsim.similarity import MEASURES
 from taxsim.taxonomy import Synset, SynsetMap, Taxonomy
 from taxsim.wordnet import load_frequencies, load_tsv_taxonomy, load_wordnet, parse_data_noun
 
-from conftest import T7_TSV
+from conftest import T7_TSV, path_memo
 from test_kernels import wordnet_shaped_dag
 from test_wordnet import render_taxonomy
 
@@ -97,6 +98,51 @@ def test_no_unused_locals(path):
     assert unused_locals(tree) == []
 
 
+def unreferenced_private_names(trees):
+    """(module, name) of each module-level ``_name`` (a def, a class or an
+    assigned name) in trees, a map of module name to ast, that nothing in
+    trees reads outside its own definition: as a name, as an attribute or
+    in an import. A read of the same name in any module counts."""
+    def reads(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, (ast.Name, ast.Attribute)) and not isinstance(sub.ctx, ast.Store):
+                yield sub.id if isinstance(sub, ast.Name) else sub.attr
+            elif isinstance(sub, ast.alias):
+                yield sub.name
+
+    everywhere = collections.Counter(name for tree in trees.values() for name in reads(tree))
+    found = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            inside = collections.Counter(reads(stmt))
+            found += [(module, name) for name in names
+                      if name.startswith("_") and not name.startswith("__")
+                      and everywhere[name] == inside[name]]
+    return sorted(found)
+
+
+def test_unreferenced_private_name_check_finds_one():
+    trees = {"a": ast.parse("_used = 1\n_unread = 2\n__all__ = []\n"
+                            "def _recursive(n):\n    return _recursive(n - 1)\n"
+                            "class _Imported:\n    pass\n"),
+             "b": ast.parse("from a import _Imported\nx = _used\nobj._attr = 3\n_attr = 4\n")}
+    assert unreferenced_private_names(trees) == [("a", "_recursive"), ("a", "_unread"),
+                                                 ("b", "_attr")]
+
+
+def test_no_unreferenced_private_names():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_names(trees) == []
+
+
 def line_prefixed_fstrings(tree):
     """Line numbers of the f-strings in tree that start with ``line {``."""
     return [node.lineno for node in ast.walk(tree)
@@ -130,13 +176,13 @@ def test_scoring_reads_frozen_views():
     # never written, and never copied into a list
     taxonomy, _ = load_tsv_taxonomy(io.StringIO(T7_TSV))
     *lcs_arrays, ids = taxonomy._lcs.__wrapped__.args
-    *path_arrays, tables = taxonomy._path.__wrapped__.args
-    *core_arrays, longest = tables.__wrapped__.args
+    memo = path_memo(taxonomy)
     assert ids is taxonomy._ids
-    assert longest == 2 * taxonomy.max_depth - 2
-    *branch_arrays, width = tables()
+    assert memo.longest == 2 * taxonomy.max_depth - 2
+    *branch_arrays, width = memo.tables()
     assert width == taxonomy.branch_count and len(branch_arrays[-1]) == width ** 2
-    views = (lcs_arrays + path_arrays + core_arrays + branch_arrays
+    views = (lcs_arrays + [memo.up, memo.anchor, memo.hang, memo.core_indptr,
+                           memo.core_indices] + branch_arrays
              + [ic.make_table(taxonomy, m).values() for m in ("seco", "sanchez", "hybrid")])
     for view in views:
         assert isinstance(view, memoryview) and view.readonly

@@ -6,8 +6,8 @@ import pytest
 
 from taxsim.taxonomy import Synset, Taxonomy
 
-from conftest import (oracle_branch_count, oracle_core, oracle_undirected_bfs, random_dag,
-                      random_tree)
+from conftest import (oracle_branch_count, oracle_core, oracle_undirected_bfs, path_memo,
+                      random_dag, random_tree)
 
 
 def taxonomy_of(edges, nodes=()):
@@ -20,6 +20,11 @@ def taxonomy_of(edges, nodes=()):
         Synset(name, (name.lower(),), hypernyms=tuple(ps))
         for name, ps in parents.items()
     )
+
+
+def chain(names):
+    """(child, parent) links that hang each name under the one before it."""
+    return list(zip(names[1:], names[:-1]))
 
 
 def assert_all_pairs_match_oracle(t):
@@ -48,13 +53,13 @@ def wordnet_shaped_dag(rng, n, multi_share=0.04):
 
 
 def peel(t):
-    """The path search's peel as synset ids: anchor id and hang per id, and
-    the core ids with their core neighbour ids."""
-    up, anchor, hang, tables = t._path.__wrapped__.args
-    indptr, indices, _ = tables.__wrapped__.args
+    """The path search's core and hanging trees as synset ids: anchor id
+    and hang per id, and the core ids with their core neighbour ids."""
+    memo = path_memo(t)
+    indptr, indices = memo.core_indptr, memo.core_indices
     ids = list(t.synsets)
-    core = [ids[u] for u in range(len(ids)) if up[u] < 0]
-    return ({ids[u]: (core[anchor[u]], hang[u]) for u in range(len(ids))},
+    core = [ids[u] for u in range(len(ids)) if memo.up[u] < 0]
+    return ({ids[u]: (core[memo.anchor[u]], memo.hang[u]) for u in range(len(ids))},
             {core[k]: [core[v] for v in indices[indptr[k] : indptr[k + 1]]]
              for k in range(len(core))})
 
@@ -211,27 +216,44 @@ class TestCorePeel:
         rng = random.Random(227)
         dags = [wordnet_shaped_dag(rng, rng.randint(20, 80)) for _ in range(15)]
         dags += [random_dag(rng, rng.randint(2, 60), max_parents=2) for _ in range(15)]
+        # C4/C7's 4,000-node WordNet-shaped dictionary
+        dags.append(wordnet_shaped_dag(random.Random(127), 4000, multi_share=0.03))
         for t in dags:
-            hanging, core = peel(t)
-            for sid, (anchor, hang) in hanging.items():
-                assert (hang == 0) == (sid in core)
-                assert hang == oracle_undirected_bfs(t, sid, anchor), sid
-            for sid, links in core.items():
-                assert len(links) >= 2 or sid == t.root, sid
-            assert {sid: sorted(links) for sid, links in core.items()} == \
-                {sid: sorted(links) for sid, links in oracle_core(t).items()}
-            assert t.core_count == len(core)
-            assert t.branch_count == oracle_branch_count(t)
+            assert_core_matches_oracle(t)
+
+    @pytest.mark.parametrize("edges, expected_core", [
+        # a leaf that lists its one parent twice has one link: it hangs
+        ([("A", "R"), ("L", "A"), ("L", "A")], ["R"]),
+        # M's parents sit at depths 1 and 4
+        (chain(["R", "A", "B", "C"]) + [("M", "R"), ("M", "C"), ("L", "M")],
+         ["A", "B", "C", "M", "R"]),
+        # M under the root and the root's child
+        ([("A", "R"), ("M", "R"), ("M", "A"), ("L", "A")], ["A", "M", "R"]),
+        # N has two parents, and so has M, one of them
+        ([("A", "R"), ("B", "R"), ("M", "A"), ("M", "B"), ("N", "M"), ("N", "B"),
+          ("L", "N")], ["A", "B", "M", "N", "R"]),
+    ], ids=["parent-listed-twice", "parents-at-different-depths", "under-root-and-child",
+            "stacked-multi-parent"])
+    def test_core_is_the_ancestors_of_multi_parent_nodes(self, edges, expected_core):
+        t = taxonomy_of(edges)
+        _, core = peel(t)
+        assert sorted(core) == expected_core
+        assert_core_matches_oracle(t)
+        assert_all_pairs_match_oracle(t)
 
 
-def chain(names):
-    """(child, parent) links that hang each name under the one before it."""
-    return list(zip(names[1:], names[:-1]))
-
-
-def table_builder(t):
-    """The memoised builder of the distance tables of t's core."""
-    return t._path.__wrapped__.args[-1]
+def assert_core_matches_oracle(t):
+    """The core and the hang of every node against the brute-force peel."""
+    hanging, core = peel(t)
+    for sid, (anchor, hang) in hanging.items():
+        assert (hang == 0) == (sid in core)
+        assert hang == oracle_undirected_bfs(t, sid, anchor), sid
+    for sid, links in core.items():
+        assert len(links) >= 2 or sid == t.root, sid
+    assert {sid: sorted(links) for sid, links in core.items()} == \
+        {sid: sorted(links) for sid, links in oracle_core(t).items()}
+    assert t.core_count == len(core)
+    assert t.branch_count == oracle_branch_count(t)
 
 
 class TestBranchTable:
@@ -264,7 +286,7 @@ class TestBranchTable:
         # table's only branch node
         t = taxonomy_of(chain(["R", "A1", "A2", "M"]) + chain(["R", "B1", "M"])
                         + [("L", "M"), ("K", "L")])
-        *_, dist, width = table_builder(t)()
+        *_, dist, width = path_memo(t).tables()
         assert (t.core_count, t.branch_count, width, list(dist)) == (5, 1, 1, [0])
         assert t.shortest_path_edges("A1", "B1") == 2
         assert t.shortest_path_edges("K", "A1") == 4
@@ -287,7 +309,7 @@ class TestBranchTable:
         arms = [["R"] + [f"{arm}{k}" for k in range(1, hops)] + ["M"]
                 for arm, hops in (("A", 300), ("B", 280), ("C", 260))]
         t = taxonomy_of([link for arm in arms for link in chain(arm)] + [("L", "M")])
-        *_, dist, width = table_builder(t)()
+        *_, dist, width = path_memo(t).tables()
         assert (t.max_depth, width, dist.format) == (300, 2, "H")
         assert sorted(dist) == [0, 0, 260, 260]
         assert t.shortest_path_edges("R", "L") == 261
@@ -301,7 +323,7 @@ class TestBranchTable:
 
     def test_wordnet_shaped_table_is_one_byte(self):
         t = wordnet_shaped_dag(random.Random(233), 400)
-        *_, dist, width = table_builder(t)()
+        *_, dist, width = path_memo(t).tables()
         assert dist.format == "B" and width == t.branch_count == oracle_branch_count(t)
 
     def test_built_on_first_query_between_anchors(self):
@@ -310,9 +332,9 @@ class TestBranchTable:
         t = taxonomy_of([("A", "R"), ("B", "R"), ("M", "A"), ("M", "B"),
                          ("X", "M"), ("Y", "X"), ("Z", "X"), ("W", "Z"), ("P", "M")])
         assert t.shortest_path_edges("W", "P") == 4 and t.lcs("W", "A") == "A"
-        assert table_builder(t).cache_info().currsize == 0
+        assert path_memo(t).tables.cache_info().currsize == 0
         assert t.shortest_path_edges("W", "R") == 5
-        assert table_builder(t).cache_info().currsize == 1
+        assert path_memo(t).tables.cache_info().currsize == 1
 
 
 class TestSymmetry:
@@ -345,7 +367,7 @@ class TestThreads:
             for b in ids:
                 i, j = sorted((t._index(a), t._index(b)))
                 expected[a, b] = (search(i, j), ids[search_lcs(i, j)])
-        assert table_builder(t).cache_info().currsize == 0
+        assert path_memo(t).tables.cache_info().currsize == 0
         wrong = []
 
         def worker(seed):

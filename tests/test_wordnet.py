@@ -18,7 +18,7 @@ from taxsim.wordnet import (
 )
 from taxsim.taxonomy import Taxonomy
 
-from conftest import T7_TSV
+from conftest import T7_TSV, path_memo
 from test_kernels import wordnet_shaped_dag
 
 # Minimal stream in the WordNet 3.0 data.noun layout: root, a two-lemma
@@ -351,15 +351,14 @@ def test_normalize_lemma():
 
 def frozen_state(t):
     """Every array and count a Taxonomy freezes, as plain Python values."""
-    up, anchor, hang, tables = t._path.__wrapped__.args
-    core_indptr, core_indices, longest = tables.__wrapped__.args
-    views = (t._depth, t._anc_indptr, t._anc_indices, t._subsumers, up, anchor, hang,
-             core_indptr, core_indices)
+    memo = path_memo(t)
+    views = (t._depth, t._anc_indptr, t._anc_indices, t._subsumers, memo.up, memo.anchor,
+             memo.hang, memo.core_indptr, memo.core_indices)
     return ([list(view) for view in views]
-            + [t._hyponyms.tolist(), t._is_leaf.tolist(), list(t.synsets), t._pos, t.root, longest,
-               t.max_depth, t.max_subsumer_count, t.edge_count, t.multi_parent_count,
-               t.leaf_count, t.max_fanout, t.core_count, t.branch_count, t._new_floor,
-               t._new_scale])
+            + [t._hyponyms.tolist(), t._is_leaf.tolist(), list(t.synsets), t._pos, t.root,
+               memo.longest, t.max_depth, t.max_subsumer_count, t.edge_count,
+               t.multi_parent_count, t.leaf_count, t.max_fanout, t.core_count, t.branch_count,
+               t._new_floor, t._new_scale])
 
 
 def t7_dictionary():
