@@ -44,7 +44,7 @@ def _load(args):
         "no taxonomy source: pass --wordnet/--taxonomy-tsv or set WORDNET_DIR")
 
 
-def _ic_tables(args, models, taxonomy, index):
+def _ic_tables(args, models, taxonomy):
     """Build one IC table per model name, keyed by model.
 
     --frequencies is legal exactly when one of the tables is the corpus one.
@@ -59,11 +59,11 @@ def _ic_tables(args, models, taxonomy, index):
             frequencies = wordnet.load_frequencies(f)
     elif args.frequencies:
         raise InvalidCombinationError("--frequencies only applies to the corpus model")
-    return {model: ic.make_table(taxonomy, model, index=index, frequencies=frequencies)
+    return {model: ic.make_table(taxonomy, model, frequencies=frequencies)
             for model in models}
 
 
-def _measure_tables(args, names, taxonomy, index):
+def _measure_tables(args, names, taxonomy):
     """Pair each measure name with the IC table it scores with, or None.
 
     An explicit --ic applies to every measure that reads a table; otherwise
@@ -71,7 +71,7 @@ def _measure_tables(args, names, taxonomy, index):
     """
     measures = [similarity.get_measure(name) for name in names]
     models = [m.ic_model and (args.ic_model or m.ic_model) for m in measures]
-    tables = _ic_tables(args, filter(None, models), taxonomy, index)
+    tables = _ic_tables(args, filter(None, models), taxonomy)
     return [(m.name, tables.get(model)) for m, model in zip(measures, models)]
 
 
@@ -93,7 +93,7 @@ def cmd_info(args):
 
 def cmd_ic(args):
     taxonomy, index = _load(args)
-    table = _ic_tables(args, [args.ic_model], taxonomy, index)[args.ic_model]
+    table = _ic_tables(args, [args.ic_model], taxonomy)[args.ic_model]
     token = args.word
     if token in taxonomy:
         senses = [token]
@@ -107,7 +107,7 @@ def cmd_ic(args):
 
 def cmd_sim(args):
     taxonomy, index = _load(args)
-    [(name, table)] = _measure_tables(args, [args.measure], taxonomy, index)
+    [(name, table)] = _measure_tables(args, [args.measure], taxonomy)
     score, c1, c2 = similarity.best_sense_pair(
         taxonomy, index, name, args.word1, args.word2, ic=table)
     print(f"{score.value:.4f}")
@@ -134,7 +134,7 @@ def cmd_bench(args):
              else list(dict.fromkeys(m.strip() for m in args.measures.split(",") if m.strip())))
     if not names:
         raise InvalidCombinationError(f"--measures {args.measures!r} names no measure")
-    measures = _measure_tables(args, names, taxonomy, index)
+    measures = _measure_tables(args, names, taxonomy)
     report = evaluation.run_benchmark(taxonomy, index, dataset, measures,
                                       skip_oov=args.skip_oov)
     sys.stdout.write(evaluation.emit_report(report, fmt=args.format))

@@ -34,7 +34,7 @@ class IcTable:
         return self._values
 
 
-def ic_corpus(taxonomy, index, frequencies):
+def ic_corpus(taxonomy, frequencies):
     """Corpus IC: -ln(Freq(c) / Freq(root)) with add-one smoothing per lemma.
 
     Freq(c) sums the smoothed counts of every lemma of every synset in c's
@@ -95,11 +95,12 @@ def ic_hybrid_table(taxonomy):
 
 
 def make_table(taxonomy, model, index=None, frequencies=None):
-    """Build the IcTable for a model name; corpus needs index+frequencies."""
+    """Build the IcTable for a model name; corpus needs frequencies. ``index``
+    is accepted and never read, because perfbench's informational job passes it."""
     if model == "corpus":
         if frequencies is None:
             raise UnusableModelError("corpus IC requires a frequency table")
-        return ic_corpus(taxonomy, index, frequencies)
+        return ic_corpus(taxonomy, frequencies)
     if model == "seco":
         return ic_seco(taxonomy)
     if model == "sanchez":

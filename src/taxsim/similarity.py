@@ -41,9 +41,10 @@ def _no_values(taxonomy, ic):
 
 
 def _new_values(taxonomy, ic):
-    if taxonomy.max_subsumer_count < 2:
+    m = taxonomy.max_subsumer_count
+    if m < 2:
         raise UnusableModelError("sim_new needs a taxonomy with max subsumer count >= 2")
-    return None
+    return math.log((m + 1) / m), 2.0 * math.log(m)
 
 
 # Each formula takes the taxonomy, the values its measure reads and two node
@@ -95,12 +96,13 @@ def _new(taxonomy, values, i, j):
     value = ln(2 ln M / D) with M the maximum subsumer count in the
     taxonomy and D = ln s1 + ln s2 - 2 ln s_lcs floored at
     eps = ln((M+1)/M) so identical pairs get the maximal finite score.
-    Both constants are frozen when the taxonomy is built.
+    ``values`` holds (eps, 2 ln M), worked out once per scoring call.
     """
+    floor, scale = values
     subsumers = taxonomy._subsumers
     d = (math.log(subsumers[i]) + math.log(subsumers[j])
          - 2.0 * math.log(subsumers[taxonomy._lcs(i, j)]))
-    return math.log(taxonomy._new_scale / max(d, taxonomy._new_floor))
+    return math.log(scale / max(d, floor))
 
 
 class Measure:

@@ -19,7 +19,6 @@ node indices, so a loaded taxonomy is still safe to share across threads.
 """
 
 import functools
-import math
 from array import array
 from collections.abc import Mapping
 from typing import NamedTuple
@@ -44,8 +43,7 @@ class SynsetColumns:
     Record k has id ``ids[k]``, lemmas
     ``lemmas[lemma_indptr[k] : lemma_indptr[k + 1]]`` and hypernym ids
     ``hypernyms[hypernym_indptr[k] : hypernym_indptr[k + 1]]``. The two
-    indptr columns are int arrays that start at 0. Indexing makes the
-    record's Synset.
+    indptr columns are int arrays that start at 0.
     """
 
     __slots__ = ("ids", "lemmas", "lemma_indptr", "hypernyms", "hypernym_indptr")
@@ -74,15 +72,6 @@ class SynsetColumns:
     def __len__(self):
         return len(self.ids)
 
-    def __getitem__(self, k):
-        return self._record(range(len(self.ids))[k])
-
-    def _record(self, k):
-        """The Synset of record k, 0 <= k < len(self)."""
-        lp, hp = self.lemma_indptr, self.hypernym_indptr
-        return Synset(self.ids[k], tuple(self.lemmas[lp[k] : lp[k + 1]]),
-                      tuple(self.hypernyms[hp[k] : hp[k + 1]]))
-
 
 class SynsetMap(Mapping):
     """Read-only map from synset id to its Synset, made on each lookup from
@@ -93,10 +82,11 @@ class SynsetMap(Mapping):
         self._pos = pos
 
     def __getitem__(self, synset_id):
-        return self._columns._record(self._pos[synset_id])
-
-    def __contains__(self, synset_id):
-        return synset_id in self._pos
+        k = self._pos[synset_id]
+        c = self._columns
+        lp, hp = c.lemma_indptr, c.hypernym_indptr
+        return Synset(c.ids[k], tuple(c.lemmas[lp[k] : lp[k + 1]]),
+                      tuple(c.hypernyms[hp[k] : hp[k + 1]]))
 
     def __iter__(self):
         return iter(self._columns.ids)
@@ -239,11 +229,6 @@ class Taxonomy:
         self._anc_indices = _view(rows[_ranges(row_start, row_len)])
         self._subsumers = _view(row_len)
         self.max_subsumer_count = int(row_len.max())
-        # the measure ``new`` floors its distance at ln((M+1)/M) and scales
-        # it by 2 ln M, M the maximum subsumer count: both frozen here
-        m = self.max_subsumer_count
-        self._new_floor = math.log((m + 1) / m)
-        self._new_scale = 2.0 * math.log(m)
         # hyponym_count(c): distinct transitive descendants, excluding c
         self._hyponyms = np.bincount(self._anc_indices, minlength=n) - 1
         self._is_leaf = self._hyponyms == 0

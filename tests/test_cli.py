@@ -439,7 +439,7 @@ class TestCorpusIc:
     def corpus_table():
         taxonomy, index = load_tsv_taxonomy(io.StringIO(T7_TSV))
         frequencies = load_frequencies(io.StringIO(FREQUENCIES))
-        return taxonomy, index, ic_corpus(taxonomy, index, frequencies)
+        return taxonomy, index, ic_corpus(taxonomy, frequencies)
 
     def test_ic_matches_in_process(self, capsys, t7_file, freq_file):
         _, _, table = self.corpus_table()

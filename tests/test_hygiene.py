@@ -8,6 +8,7 @@ import pathlib
 import random
 import re
 import sys
+import types
 
 import pytest
 
@@ -96,6 +97,63 @@ def test_unused_local_check_finds_one():
 def test_no_unused_locals(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert unused_locals(tree) == []
+
+
+def unread_parameters(tree):
+    """(line, function, name) of each parameter of a def in tree that its
+    body, nested scopes included, never reads. A def whose name tree reads
+    as a value, not as the callee of a call, is exempt: it is handed to a
+    caller that fixes its signature."""
+    callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    passed = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+              and id(node) not in callees}
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name in passed:
+            continue
+        read = {node.id for stmt in func.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        args = func.args
+        params = (args.posonlyargs + args.args + args.kwonlyargs
+                  + [arg for arg in (args.vararg, args.kwarg) if arg])
+        found += [(func.lineno, func.name, arg.arg) for arg in params if arg.arg not in read]
+    return sorted(found)
+
+
+def test_unread_parameter_check_finds_one():
+    tree = ast.parse(
+        "def f(a, b, *c, d, **e):\n"
+        "    return a + d\n"
+        "def g(x):\n"
+        "    return 1\n"
+        "def h(y, z):\n"
+        "    def inner():\n"
+        "        return y\n"
+        "    return inner\n"
+        "class K:\n"
+        "    def m(self, q):\n"
+        "        return self\n"
+        "register(g)\n"
+        "h(1, 2)\n")
+    assert unread_parameters(tree) == [(1, "f", "b"), (1, "f", "c"), (1, "f", "e"),
+                                       (5, "h", "z"), (10, "m", "q")]
+
+
+# (file, function, parameter) kept unread, each with the caller that passes it
+UNREAD_PARAMETERS_KEPT = {
+    ("ic.py", "make_table", "index"): "perfbench/client.py's informational job passes "
+                                      "index= to ic.make_table",
+}
+
+
+def test_no_unread_parameters():
+    found = {(path.name, func, name)
+             for path in sorted(SRC.glob("*.py"))
+             for _, func, name in unread_parameters(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == set(UNREAD_PARAMETERS_KEPT), \
+        f"unread: {sorted(found - set(UNREAD_PARAMETERS_KEPT))}; read again, drop " \
+        f"the exemption: {sorted(set(UNREAD_PARAMETERS_KEPT) - found)}"
 
 
 def unreferenced_private_names(trees):
@@ -190,9 +248,9 @@ def test_scoring_reads_frozen_views():
 
 @pytest.mark.parametrize("name", [m.name for m in MEASURES.values() if m.ic_model])
 def test_ic_measure_scores_with_its_own_model(name):
-    taxonomy, index = load_tsv_taxonomy(io.StringIO(T7_TSV))
+    taxonomy, _ = load_tsv_taxonomy(io.StringIO(T7_TSV))
     args = build_parser().parse_args(["sim", "x", "y", "--measure", name])
-    [(resolved, table)] = _measure_tables(args, [name], taxonomy, index)
+    [(resolved, table)] = _measure_tables(args, [name], taxonomy)
     assert resolved == name
     assert table.model == MEASURES[name].ic_model
     ids = list(taxonomy.synsets)
@@ -255,8 +313,12 @@ def test_perfbench_interface(tmp_path, monkeypatch, capsys):
         assert measure.name == name and hasattr(measure, "kind") and \
             hasattr(measure, "ic_model"), "spans.py stands in for MEASURES entries"
         table = ic.make_table(t7, measure.ic_model) if measure.ic_model else None
-        assert measure(t7, "E", "D", ic=table).value is not None, \
-            "client.py scores MEASURES entries"
+        stand_in = types.SimpleNamespace(**{attr: getattr(measure, attr) for attr in
+                                            ("name", "kind", "ic_model", "score", "values")})
+        assert (similarity.word_similarity(t7, index, stand_in, "x", "y", ic=table).value
+                == similarity.word_similarity(t7, index, measure, "x", "y", ic=table).value), \
+            "client.py passes MEASURES entries to word_similarity and reads .value; " \
+            "spans.py's stand-ins forward their attributes"
     data = "00000001 03 n 01 entity 0 000 | root\n"
     assert len(parse_data_noun(io.StringIO(data))) == 1, "spans.py counts records"
     record = t7.synsets.get("E")

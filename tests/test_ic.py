@@ -21,40 +21,40 @@ def zero_frequencies(taxonomy):
 
 
 class TestCorpus:
-    def test_root_is_zero(self, t7, t7_index):
-        table = ic_corpus(t7, t7_index, zero_frequencies(t7))
+    def test_root_is_zero(self, t7):
+        table = ic_corpus(t7, zero_frequencies(t7))
         assert table["R"] == 0.0
 
-    def test_pure_smoothing_on_t7(self, t7, t7_index):
+    def test_pure_smoothing_on_t7(self, t7):
         # one lemma per synset, all counts zero: Freq(E) = 1, Freq(root) = 7
-        table = ic_corpus(t7, t7_index, zero_frequencies(t7))
+        table = ic_corpus(t7, zero_frequencies(t7))
         assert table["E"] == pytest.approx(math.log(7), abs=1e-12)
 
-    def test_monotone_child_at_least_parent(self, t7_index):
+    def test_monotone_child_at_least_parent(self):
         rng = random.Random(3)
         for _ in range(5):
             t = random_dag(rng, rng.randint(2, 80))
             freq_lines = "".join(
                 f"{s.lemmas[0]}\t{rng.randint(0, 50)}\n" for s in t.synsets.values()
             )
-            table = ic_corpus(t, None, load_frequencies(io.StringIO(freq_lines)))
+            table = ic_corpus(t, load_frequencies(io.StringIO(freq_lines)))
             for sid, s in t.synsets.items():
                 for parent in s.hypernyms:
                     assert table[sid] >= table[parent] - 1e-12
 
-    def test_empty_table_unusable(self, t7, t7_index):
+    def test_empty_table_unusable(self, t7):
         with pytest.raises(UnusableModelError):
-            ic_corpus(t7, t7_index, load_frequencies(io.StringIO("")))
+            ic_corpus(t7, load_frequencies(io.StringIO("")))
 
-    def test_non_positive_total_unusable(self, t7, t7_index):
+    def test_non_positive_total_unusable(self, t7):
         # load_frequencies rejects negative counts; a table built in code
         # can still hold one, and smoothing alone cannot outweigh it
         with pytest.raises(UnusableModelError,
                            match="^corpus IC needs a positive total frequency$"):
-            ic_corpus(t7, t7_index, FrequencyTable({"r": -100}))
+            ic_corpus(t7, FrequencyTable({"r": -100}))
 
     @pytest.mark.parametrize("count, first", [(-1, "E"), (-5, "A")])
-    def test_non_positive_subtree_unusable(self, t7, t7_index, count, first):
+    def test_non_positive_subtree_unusable(self, t7, count, first):
         # the root total stays positive, but E's weight is count + 1: -1
         # zeroes E, and -5 takes C below zero and A to zero with it. The
         # first such synset in load order (A, R, B, C, D, E, F) is named,
@@ -64,7 +64,7 @@ class TestCorpus:
             with pytest.raises(UnusableModelError,
                                match=f"^corpus IC needs a positive frequency at every "
                                      f"synset; '{first}' has 0$"):
-                ic_corpus(t7, t7_index, FrequencyTable({"e": count}))
+                ic_corpus(t7, FrequencyTable({"e": count}))
 
 
 class TestSeco:

@@ -290,6 +290,7 @@ class TestArrayBuild:
                 assert t.shortest_path_edges(a, b) == oracle_undirected_bfs(t, a, b)
         # the records keep what they list; a link listed twice counts once
         assert t.synsets["B"].hypernyms == ("A", "R", "A")
+        assert "B" in t.synsets and "zz" not in t.synsets and t.synsets.get("zz") is None
         assert (t.edge_count, t.multi_parent_count, t.core_count) == (4, 1, 3)
 
 

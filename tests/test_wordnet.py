@@ -16,6 +16,7 @@ from taxsim.wordnet import (
     parse_data_noun,
     parse_index_noun,
 )
+from taxsim.similarity import MEASURES
 from taxsim.taxonomy import Taxonomy
 
 from conftest import T7_TSV, path_memo
@@ -48,22 +49,21 @@ class TestParseDataNoun:
         assert len(synsets) == 4
 
     def test_root_has_no_hypernyms(self):
-        synsets = parse_data_noun(io.StringIO(DATA_NOUN))
-        root = synsets[0]
-        assert root.id == "00000001"
-        assert root.hypernyms == ()
+        t = Taxonomy(parse_data_noun(io.StringIO(DATA_NOUN)))
+        assert list(t.synsets) == ["00000001", "00000002", "00000003", "00000004"]
+        assert t.synsets["00000001"].hypernyms == ()
 
     def test_w_cnt_hex_consumes_lemma_pairs(self):
-        synsets = parse_data_noun(io.StringIO(DATA_NOUN))
-        assert synsets[1].lemmas == ("alpha", "first_branch")
+        t = Taxonomy(parse_data_noun(io.StringIO(DATA_NOUN)))
+        assert t.synsets["00000002"].lemmas == ("alpha", "first_branch")
 
     def test_instance_hypernym_treated_as_hypernym(self):
-        synsets = parse_data_noun(io.StringIO(DATA_NOUN))
-        assert synsets[2].hypernyms == ("00000001",)
+        t = Taxonomy(parse_data_noun(io.StringIO(DATA_NOUN)))
+        assert t.synsets["00000003"].hypernyms == ("00000001",)
 
     def test_non_hypernym_and_non_noun_pointers_ignored(self):
-        synsets = parse_data_noun(io.StringIO(DATA_NOUN))
-        assert synsets[3].hypernyms == ("00000002",)
+        t = Taxonomy(parse_data_noun(io.StringIO(DATA_NOUN)))
+        assert t.synsets["00000004"].hypernyms == ("00000002",)
 
     def test_malformed_record_reports_line(self):
         bad = "00000001 03 n zz entity 0 000 | broken\n"
@@ -358,7 +358,7 @@ def frozen_state(t):
             + [t._hyponyms.tolist(), t._is_leaf.tolist(), list(t.synsets), t._pos, t.root,
                memo.longest, t.max_depth, t.max_subsumer_count, t.edge_count,
                t.multi_parent_count, t.leaf_count, t.max_fanout, t.core_count, t.branch_count,
-               t._new_floor, t._new_scale])
+               MEASURES["new"].values(t, None)])
 
 
 def t7_dictionary():
