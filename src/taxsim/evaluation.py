@@ -205,7 +205,7 @@ def run_benchmark(taxonomy, index, dataset, measures, skip_oov=False):
 def _report_rows(report):
     names = list(report.columns)
     yield ["word1", "word2", "human"] + names
-    for (w1, w2, rating), i in zip(report.pairs, range(len(report.pairs))):
+    for i, (w1, w2, rating) in enumerate(report.pairs):
         yield [w1, w2, f"{rating:.4f}"] + [
             f"{report.columns[m][i]:.4f}" for m in names
         ]

@@ -56,16 +56,6 @@ def normalize_lemma(lemma):
     return lemma.strip().lower().replace(" ", "_")
 
 
-def record_fields(line):
-    """The fields of one WordNet 3.0 database line, or None for a header
-    line (leading space), a blank or a whitespace-only line: the line cut
-    at its first ``|`` and split on whitespace, so gloss words are never
-    fields."""
-    if line and not line.startswith(" ") and not line.isspace():
-        return line.partition("|")[0].split()
-    return None
-
-
 _DIGITS = {10: re.compile("[0-9]+"), 16: re.compile("[0-9a-fA-F]+")}
 
 
@@ -81,31 +71,33 @@ def _count(text, name, low, base=10):
     return value
 
 
-# Each count as the WordNet files spell it, mapped to its value: w_cnt in
-# two lower-case hex digits, data.noun's p_cnt in three decimal digits and
-# the index.noun counts in decimal without leading zeros. The parsers read
-# a line with these spellings inline; any other line goes to the record
-# rule (record_fields, _count and the layout functions below), which reads
-# it to the same values or rejects it.
-_W_CNT = {f"{k:02x}": k for k in range(1, 256)}
-_DATA_P_CNT = {f"{k:03d}": k for k in range(1000)}
-_INDEX_COUNT = {str(k): k for k in range(1000)}
+class _Spellings(dict):
+    """One count field: each spelling the WordNet files use, mapped to its
+    value. Any other spelling is read by _count, which returns the same
+    value or raises, so a lookup accepts just what _count accepts."""
+
+    def __init__(self, spellings, name, low, base=10):
+        super().__init__((text, int(text, base)) for text in spellings)
+        self.field = (name, low, base)
+
+    def __missing__(self, text):
+        return _count(text, *self.field)
 
 
-def _data_layout(fields, lineno):
-    """Where a ``data.noun`` record's pointers start and end: ``(p_pos,
-    end)``, with ``fields[p_pos]`` the p_cnt field. A malformed record
-    raises ParseError at lineno."""
-    try:
-        if fields[2] != "n":
-            raise ValueError(f"ss_type must be 'n', got {fields[2]!r}")
-        p_pos = 4 + 2 * _count(fields[3], "w_cnt", 1, 16)
-        end = p_pos + 1 + 4 * _count(fields[p_pos], "p_cnt", 0)
-        if len(fields) < end:
-            raise ValueError(f"record needs {end} fields, has {len(fields)}")
-    except (IndexError, ValueError) as exc:
-        raise ParseError(f"malformed data.noun record: {exc}", lineno) from None
-    return p_pos, end
+# w_cnt in two lower-case hex digits, data.noun's p_cnt in three decimal
+# digits and the index.noun counts in decimal without leading zeros
+_W_CNT = _Spellings((f"{k:02x}" for k in range(1, 256)), "w_cnt", 1, 16)
+_DATA_P_CNT = _Spellings((f"{k:03d}" for k in range(1000)), "p_cnt", 0)
+_SYNSET_CNT = _Spellings(map(str, range(1, 1000)), "synset_cnt", 1)
+_INDEX_P_CNT = _Spellings(map(str, range(1000)), "p_cnt", 0)
+_SENSE_CNT = _Spellings(map(str, range(1000)), "sense_cnt", 0)
+_TAGSENSE_CNT = _Spellings(map(str, range(1000)), "tagsense_cnt", 0)
+
+
+def _skipped(line):
+    """Whether a line that does not read as a record is a header line
+    (leading space), a blank or a whitespace-only line, and so no record."""
+    return not line.strip() or line[0] == " "
 
 
 def parse_data_noun(stream):
@@ -115,23 +107,27 @@ def parse_data_noun(stream):
 
     Each record is ``offset lex_filenum ss_type w_cnt (word lex_id)* p_cnt
     (ptr)* | gloss`` with w_cnt in 2-digit hex and p_cnt in 3-digit decimal.
-    A malformed record raises ParseError at its line.
+    Each line is cut at its first ``|`` and split, so gloss words are never
+    fields. Header lines (leading space), blank and whitespace-only lines
+    are skipped; any other malformed line raises ParseError at its line.
     """
     ids, lemmas, hypernyms = [], [], []
     lemma_indptr, hypernym_indptr = array("q", [0]), array("q", [0])
     for lineno, line in enumerate(stream, start=1):
         fields = line.partition("|")[0].split()
         try:
+            if fields[2] != "n":
+                raise ValueError(f"ss_type must be 'n', got {fields[2]!r}")
             p_pos = 4 + 2 * _W_CNT[fields[3]]
             end = p_pos + 1 + 4 * _DATA_P_CNT[fields[p_pos]]
-            canonical = fields[2] == "n" and len(fields) >= end and line[0] != " "
-        except (IndexError, KeyError):
-            canonical = False
-        if not canonical:
-            fields = record_fields(line)
-            if fields is None:
+            if len(fields) < end:
+                raise ValueError(f"record needs {end} fields, has {len(fields)}")
+        except (IndexError, ValueError) as exc:
+            if _skipped(line):
                 continue
-            p_pos, end = _data_layout(fields, lineno)
+            raise ParseError(f"malformed data.noun record: {exc}", lineno) from None
+        if line[0] == " ":
+            continue
         ids.append(fields[0])
         lemmas += map(str.lower, fields[4:p_pos:2])
         lemma_indptr.append(len(lemmas))
@@ -143,58 +139,42 @@ def parse_data_noun(stream):
     return SynsetColumns(ids, lemmas, lemma_indptr, hypernyms, hypernym_indptr)
 
 
-def _index_layout(fields, lineno, seen):
-    """An ``index.noun`` record's lemma, synset_cnt and the position of its
-    sense_cnt field. A malformed record, a synset_cnt that does not match
-    the offsets or a lemma already in seen raises ParseError at lineno."""
-    try:
-        lemma = fields[0].lower()
-        if fields[1] != "n":
-            raise ValueError(f"pos must be 'n', got {fields[1]!r}")
-        synset_cnt = _count(fields[2], "synset_cnt", 1)
-        s_pos = 4 + _count(fields[3], "p_cnt", 0)
-        _count(fields[s_pos], "sense_cnt", 0)
-        _count(fields[s_pos + 1], "tagsense_cnt", 0)
-    except (IndexError, ValueError) as exc:
-        raise ParseError(f"malformed index.noun record: {exc}", lineno) from None
-    if len(fields) - s_pos - 2 != synset_cnt:
-        raise ParseError(
-            f"lemma {lemma!r}: synset_cnt {synset_cnt} but "
-            f"{len(fields) - s_pos - 2} trailing offsets", lineno)
-    if lemma in seen:
-        raise ParseError(f"duplicate lemma {lemma!r}", lineno)
-    return lemma, synset_cnt, s_pos
-
-
 def parse_index_noun(stream, taxonomy):
     """Parse a WordNet 3.0 ``index.noun`` stream, line by line, into a
     LemmaIndex over taxonomy.
 
     Each record is ``lemma pos synset_cnt p_cnt (ptr_symbol)* sense_cnt
-    tagsense_cnt (synset_offset)*``. A pos other than ``n``, a bad count, a
-    lemma with no sense, a lemma seen before, or an offset that is not a
-    synset of taxonomy raises at its line. Offsets are mapped to nodes by
-    their string ids, so ``0001`` never matches ``00000001``.
+    tagsense_cnt (synset_offset)*``, read by the same line rule as
+    ``data.noun``. A pos other than ``n``, a bad count, a synset_cnt that
+    does not match the offsets, a lemma seen before, or an offset that is
+    not a synset of taxonomy raises at its line. Offsets are mapped to nodes
+    by their string ids, so ``0001`` never matches ``00000001``.
     """
     known = taxonomy._pos
     entries = {}
     for lineno, line in enumerate(stream, start=1):
-        fields = line.split()
+        # few index.noun lines hold a "|", and cutting every line costs 2-4 %
+        fields = (line.partition("|")[0] if "|" in line else line).split()
         try:
             lemma = fields[0].lower()
-            synset_cnt = _INDEX_COUNT[fields[2]]
-            s_pos = 4 + _INDEX_COUNT[fields[3]]
-            canonical = (synset_cnt and fields[1] == "n" and fields[s_pos] in _INDEX_COUNT
-                         and fields[s_pos + 1] in _INDEX_COUNT
-                         and len(fields) == s_pos + 2 + synset_cnt
-                         and line[0] != " " and "|" not in line and lemma not in entries)
-        except (IndexError, KeyError):
-            canonical = False
-        if not canonical:
-            fields = record_fields(line)
-            if fields is None:
+            if fields[1] != "n":
+                raise ValueError(f"pos must be 'n', got {fields[1]!r}")
+            synset_cnt = _SYNSET_CNT[fields[2]]
+            s_pos = 4 + _INDEX_P_CNT[fields[3]]
+            _SENSE_CNT[fields[s_pos]]  # read only to check it
+            _TAGSENSE_CNT[fields[s_pos + 1]]
+        except (IndexError, ValueError) as exc:
+            if _skipped(line):
                 continue
-            lemma, synset_cnt, s_pos = _index_layout(fields, lineno, entries)
+            raise ParseError(f"malformed index.noun record: {exc}", lineno) from None
+        if line[0] == " ":
+            continue
+        if len(fields) - s_pos - 2 != synset_cnt:
+            raise ParseError(
+                f"lemma {lemma!r}: synset_cnt {synset_cnt} but "
+                f"{len(fields) - s_pos - 2} trailing offsets", lineno)
+        if lemma in entries:
+            raise ParseError(f"duplicate lemma {lemma!r}", lineno)
         try:
             # most lemmas have one sense, which needs no map over the offsets
             entries[lemma] = ((known[fields[-1]],) if synset_cnt == 1

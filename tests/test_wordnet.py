@@ -8,6 +8,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from taxsim.errors import IntegrityError, ParseError, StructureError
 from taxsim.evaluation import load_dataset_tsv
 from taxsim.wordnet import (
+    _DATA_P_CNT,
+    _INDEX_P_CNT,
+    _SENSE_CNT,
+    _SYNSET_CNT,
+    _TAGSENSE_CNT,
+    _W_CNT,
     _count,
     load_frequencies,
     load_tsv_taxonomy,
@@ -340,6 +346,35 @@ def test_wordnet_parsers_share_the_record_rule(parse, record, message):
         parse(io.StringIO("  1 header\n\n \t \n" + record + "\n"))
     assert exc.value.line_number == 4
     assert str(exc.value) == f"line 4: {message}"
+
+
+@pytest.mark.parametrize("parse, header, record, read, expected", [
+    (parse_data_noun, "  00000009 03 n 01 foo 0 000 | x\n",
+     "00000001 03 n 01 entity 0 000 | root\n", lambda columns: columns.ids, ["00000001"]),
+    (lambda lines: parse_index_noun(lines, DATA_TAXONOMY), "  alpha n 1 0 1 0 00000003\n",
+     "alpha n 1 0 1 0 00000002\n", lambda index: index.senses("alpha"), ["00000002"]),
+], ids=["data", "index"])
+def test_header_that_reads_as_a_record_is_skipped(parse, header, record, read, expected):
+    # a header line is skipped even when its fields read as a good record,
+    # and so is an empty string in a list of lines
+    assert read(parse([header, "", record])) == expected
+
+
+@pytest.mark.parametrize("table, name, low, base", [
+    (_W_CNT, "w_cnt", 1, 16), (_DATA_P_CNT, "p_cnt", 0, 10),
+    (_SYNSET_CNT, "synset_cnt", 1, 10), (_INDEX_P_CNT, "p_cnt", 0, 10),
+    (_SENSE_CNT, "sense_cnt", 0, 10), (_TAGSENSE_CNT, "tagsense_cnt", 0, 10),
+], ids=["w_cnt", "data_p_cnt", "synset_cnt", "index_p_cnt", "sense_cnt", "tagsense_cnt"])
+def test_count_tables_agree_with_count(table, name, low, base):
+    for text, value in table.items():
+        assert _count(text, name, low, base) == value
+    assert min(table.values()) == low  # so synset_cnt holds no "0", w_cnt no "00"
+    # a spelling not in the table is read by _count, bound and message too
+    assert table[f"0000{low}"] == low
+    with pytest.raises(ValueError, match=f"^{name} must be ASCII "):
+        table["+1"]
+    with pytest.raises(ValueError, match=f"^{name} must be >= {low}$"):
+        table[str(low - 1)]
 
 
 def test_normalize_lemma():
